@@ -163,14 +163,20 @@ def estimate_expected_f(
     Returns (mean, std_error) over a fresh holdout drawn from a seed stream
     disjoint from `sample`'s training stream.
     """
+    mean, std_error, _converged = _code_holdout(D, dist, pen, holdout_n, coding)
+    return mean, std_error
+
+
+def _code_holdout(D: Dictionary, dist: DistributionSpec, pen: Penalty, holdout_n: int, coding: SolverConfig):
+    """`estimate_expected_f` plus whether every holdout column converged."""
     holdout_n = int(holdout_n)
     if holdout_n < 2:
         raise ValueError("holdout_n must be >= 2")
     holdout = sample(dataclasses.replace(dist, seed=_derive_seed(dist.seed, _TAG_HOLDOUT)), holdout_n)
-    _A, obj_cols, _iters, _conv = _solve_columns(holdout.signals, D, pen, coding)
+    _A, obj_cols, _iters, conv = _solve_columns(holdout.signals, D, pen, coding)
     mean = float(np.mean(obj_cols))
     std_error = float(np.std(obj_cols, ddof=1) / np.sqrt(holdout_n))
-    return mean, std_error
+    return mean, std_error, bool(np.all(conv))
 
 
 @dataclass(frozen=True)
@@ -252,6 +258,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class GapRow:
+    """One (n, trial) job; `converged` is False when any training or holdout
+    column stopped on the solver's iteration budget."""
+
     n: int
     trial: int
     train_F: float
@@ -306,7 +315,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int, eta: float) -> GapRow:
     _A, obj_cols, _iters, conv = _solve_columns(train.signals, D, cfg.pen, cfg.learn.coding)
     train_F = float(np.mean(obj_cols))
     hold_dist = dataclasses.replace(cfg.dist, seed=_derive_seed(master, n, trial, _TAG_HOLDOUT))
-    holdout_F, std_err = estimate_expected_f(D, hold_dist, cfg.pen, cfg.holdout_n, cfg.learn.coding)
+    holdout_F, std_err, holdout_conv = _code_holdout(D, hold_dist, cfg.pen, cfg.holdout_n, cfg.learn.coding)
     return GapRow(
         n=n,
         trial=trial,
@@ -315,7 +324,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int, eta: float) -> GapRow:
         gap=abs(train_F - holdout_F),
         eta=eta,
         holdout_std_error=std_err,
-        converged=bool(np.all(conv)),
+        converged=bool(np.all(conv)) and holdout_conv,
     )
 
 
@@ -385,7 +394,11 @@ def export(curve: GapCurve, path: str) -> None:
 
 
 def load_curve(path: str) -> GapCurve:
-    """Rebuild a GapCurve from `export` output; floats round-trip exactly."""
+    """Rebuild a GapCurve from `export` output; floats round-trip exactly.
+
+    Raises ValueError when the sidecar's per-row lists do not hold one value
+    per CSV row.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -396,8 +409,13 @@ def load_curve(path: str) -> GapCurve:
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"{path!r} does not carry the expected header {_CSV_HEADER!r}")
     extras = sidecar.get("rows_extra", {})
-    std_errors = extras.get("holdout_std_error", [])
-    converged = extras.get("converged", [])
+    std_errors = extras.get("holdout_std_error")
+    converged = extras.get("converged")
+    for key, values in (("holdout_std_error", std_errors), ("converged", converged)):
+        if not isinstance(values, list) or len(values) != len(lines) - 1:
+            raise ValueError(
+                f"sidecar of {path!r}: rows_extra.{key} must hold one value per CSV row ({len(lines) - 1})"
+            )
     rows = []
     for i, ln in enumerate(lines[1:]):
         n_s, t_s, tr, ho, gp, et = ln.split(",")
@@ -409,8 +427,8 @@ def load_curve(path: str) -> GapCurve:
                 holdout_F=float(ho),
                 gap=float(gp),
                 eta=float(et),
-                holdout_std_error=float(std_errors[i]) if i < len(std_errors) else float("nan"),
-                converged=bool(converged[i]) if i < len(converged) else True,
+                holdout_std_error=float(std_errors[i]),
+                converged=bool(converged[i]),
             )
         )
     fit = sidecar.get("fit", {})

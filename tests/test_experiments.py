@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from lpdict import experiments
 from lpdict.core import Penalty
 from lpdict.experiments import (
     DistributionSpec,
@@ -178,6 +179,37 @@ class TestGapSweep:
         with pytest.warns(UserWarning, match="holdout_n"):
             tiny_config(holdout_n=100)
 
+    def test_converged_flag_covers_the_holdout(self, monkeypatch, tmp_path):
+        # a holdout column that stops on the budget must flag its row
+        cfg = tiny_config()
+        solve = experiments._solve_columns
+
+        def holdout_budget_hit(Xmat, D, pen, coding, warm=None):
+            A, obj, iters, conv = solve(Xmat, D, pen, coding, warm)
+            if Xmat.shape[1] == cfg.holdout_n:
+                conv = conv.copy()
+                conv[0] = False
+            return A, obj, iters, conv
+
+        monkeypatch.setattr(experiments, "_solve_columns", holdout_budget_hit)
+        curve = gap_sweep(cfg)
+        assert [row.converged for row in curve.rows] == [False] * len(curve.rows)
+        path = str(tmp_path / "curve.csv")
+        export(curve, path)
+        assert load_curve(path).rows == curve.rows
+
+    def test_sweep_sphere_holdout_converges(self):
+        # the (n=32, trial=1) holdout of the benchmark's sphere sweep: m=8,
+        # d=12, p=q=1, lam=10, a random dictionary, master seed 20140320
+        master, n, trial = 20140320, 32, 1
+        D = random_dictionary(8, 12, np.random.default_rng([master, n, trial, experiments._TAG_DICT]))
+        tag = experiments._TAG_HOLDOUT
+        hold_seed = experiments._derive_seed(experiments._derive_seed(master, n, trial, tag), tag)
+        X = sample(DistributionSpec(kind="uniform-sphere", m=8, seed=hold_seed), 10_000)
+        _A, _obj, iters, conv = experiments._solve_columns(X.signals, D, Penalty(1, 1, 10), SolverConfig())
+        assert conv.all()
+        assert iters.max() < SolverConfig().max_iters
+
 
 class TestExport:
     def test_empty_curve_header_only(self, tmp_path):
@@ -225,6 +257,19 @@ class TestExport:
         curve = GapCurve(rows=(), slope=0.0, intercept=0.0, slope_inv_sqrt_n=0.0, intercept_inv_sqrt_n=0.0)
         with pytest.raises(OSError, match="no/such/dir"):
             export(curve, "no/such/dir/out.csv")
+
+    @pytest.mark.parametrize("key", ["converged", "holdout_std_error"])
+    def test_load_rejects_sidecar_row_count_mismatch(self, tmp_path, key):
+        path = str(tmp_path / "curve.csv")
+        export(gap_sweep(tiny_config(n_grid=(16,), trials=2)), path)
+        side = str(tmp_path / "curve.json")
+        with open(side) as fh:
+            sidecar = json.load(fh)
+        sidecar["rows_extra"][key] = sidecar["rows_extra"][key][:1]
+        with open(side, "w") as fh:
+            json.dump(sidecar, fh)
+        with pytest.raises(ValueError, match=key):
+            load_curve(path)
 
     def test_config_round_trips_through_json(self):
         cfg = tiny_config()

@@ -267,6 +267,83 @@ class TestOracleEquivalence:
             assert abs(res.objective - oracle.objective) <= tol
 
 
+def _lasso_reference(D, X, lam, max_sweeps=20000):
+    """Cyclic coordinate descent on every column at once, run until a whole
+    sweep moves no coefficient by more than 1e-15; coordinate minimization
+    is exact for the l1 penalty."""
+    G, H = D.T @ D, D.T @ X
+    A = np.zeros_like(H)
+    for _ in range(max_sweeps):
+        before = A.copy()
+        for i in range(G.shape[0]):
+            z = H[i] - G[i] @ A + G[i, i] * A[i]
+            A[i] = np.sign(z) * np.maximum(np.abs(z) - 1.0 / lam, 0.0) / G[i, i]
+        if np.max(np.abs(A - before)) <= 1e-15:
+            return A
+    raise AssertionError("coordinate descent reference did not reach a fixed point")
+
+
+def _group_reference(D, X, lam):
+    """(2, 1): a = (G + mu I)^-1 h with mu ||a|| = 1/lam, an increasing
+    equation in mu solved by bisection to the last bit; a = 0 when ||h|| <= 1/lam."""
+    w, Q = np.linalg.eigh(D.T @ D)
+    w = np.maximum(w, 0.0)
+    out = np.zeros((D.shape[1], X.shape[1]))
+    for j in range(X.shape[1]):
+        c = Q.T @ (D.T @ X[:, j])
+        if np.linalg.norm(c) <= 1.0 / lam:
+            continue
+        lo, hi = 0.0, 1.0
+        while hi * np.linalg.norm(c / (w + hi)) <= 1.0 / lam:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid * np.linalg.norm(c / (w + mid)) > 1.0 / lam:
+                hi = mid
+            else:
+                lo = mid
+        out[:, j] = Q @ (c / (w + hi))
+    return out
+
+
+class TestConvexOptimum:
+    """Convex routes stop within ``obj_tol * max(1, F*)`` of the optimum F*."""
+
+    @staticmethod
+    def _batch(seed, n=40):
+        rng = np.random.default_rng(seed)
+        D = random_dictionary(rng, 8, 12)
+        X = np.column_stack([random_ball_signal(rng, 8) for _ in range(n)])
+        return D, X
+
+    @staticmethod
+    def _optimum(D, X, pen):
+        if pen.p == 2.0 and pen.q == 2.0:
+            G = D.atoms.T @ D.atoms
+            ref = np.linalg.solve(G + 2.0 / pen.lam**2 * np.eye(D.d), D.atoms.T @ X)
+        elif pen.p == 1.0:
+            ref = _lasso_reference(D.atoms, X, pen.lam)
+        else:
+            ref = _group_reference(D.atoms, X, pen.lam)
+        return np.array([objective(X[:, j], D, ref[:, j], pen) for j in range(X.shape[1])])
+
+    @pytest.mark.parametrize("pq", [(2.0, 2.0), (1.0, 1.0), (2.0, 1.0)])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_within_obj_tol_of_optimum(self, pq, seed):
+        D, X = self._batch(seed)
+        pen = Penalty(pq[0], pq[1], 10.0)
+        cfg = SolverConfig()
+        best = self._optimum(D, X, pen)
+        tol = cfg.obj_tol * np.maximum(1.0, best)
+        _F, A = batch_objective(SignalSet(X), D, pen, cfg)
+        batch = np.array([objective(X[:, j], D, A.coeffs[:, j], pen) for j in range(X.shape[1])])
+        assert np.all(batch <= best + tol)
+        for j in range(0, X.shape[1], 4):
+            res = sparse_code(X[:, j], D, pen, cfg)
+            assert res.converged
+            assert best[j] - 1e-12 <= res.objective <= best[j] + tol[j]
+
+
 class TestBatchObjective:
     def test_all_zero_signals(self):
         D = Dictionary(np.eye(3))
