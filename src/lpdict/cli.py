@@ -209,8 +209,8 @@ def _cmd_learn(args) -> int:
             raise OSError(f"--config: cannot read {args.config!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise _CliValidation(f"--config: malformed JSON in {args.config!r}: {exc}") from exc
-    coding = sparse_coding.SolverConfig(**overrides.pop("coding", {}))
     try:
+        coding = sparse_coding.SolverConfig(**overrides.pop("coding", {}))
         cfg = learning.LearnConfig(seed=args.seed, coding=coding, **overrides)
     except (TypeError, ValueError) as exc:
         raise _CliValidation(f"--config: {exc}") from exc

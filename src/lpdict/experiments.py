@@ -397,7 +397,8 @@ def load_curve(path: str) -> GapCurve:
     """Rebuild a GapCurve from `export` output; floats round-trip exactly.
 
     Raises ValueError when the sidecar's per-row lists do not hold one value
-    per CSV row.
+    per CSV row, or when its config echo does not rebuild an ExperimentConfig
+    (as with a sidecar that names a config field this version lacks).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -432,12 +433,15 @@ def load_curve(path: str) -> GapCurve:
             )
         )
     fit = sidecar.get("fit", {})
-    config = sidecar.get("config")
+    try:
+        config = ExperimentConfig.from_dict(sidecar["config"]) if sidecar.get("config") else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"sidecar of {path!r}: config does not rebuild an ExperimentConfig: {exc!r}") from exc
     return GapCurve(
         rows=tuple(rows),
         slope=float(fit.get("slope", "nan")),
         intercept=float(fit.get("intercept", "nan")),
         slope_inv_sqrt_n=float(fit.get("slope_inv_sqrt_n", "nan")),
         intercept_inv_sqrt_n=float(fit.get("intercept_inv_sqrt_n", "nan")),
-        config=ExperimentConfig.from_dict(config) if config else None,
+        config=config,
     )

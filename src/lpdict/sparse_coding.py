@@ -3,25 +3,30 @@
 Solves ``min_a 0.5*||x - D a||^2 + g(a)`` with ``g(a) = ||a/lam||_p^q`` for
 one signal or a whole column-stacked batch.
 
-Solver routes:
+Solver routes: one batched proximal-gradient loop with backtracking codes
+every (p, q), with a prox for each shape of penalty:
 
-* q == p: the penalty is coordinate-separable, so a batched proximal-gradient
-  loop with backtracking does the work: monotone FISTA with per-column
-  adaptive restart. The 1-D prox subproblem has closed forms for p in {1, 2}
-  and is solved by a bracketed bisection on the stationarity equation (plus
-  an explicit comparison with 0) for every other exponent.
-* (p, q) == (2, 1): the penalty is a scaled l2 norm, whose prox is columnwise
-  soft shrinkage, so the same loop applies.
-* anything else: gradient descent on a smoothed objective where ``||.||_p``
-  is replaced by ``(sum (v_i^2 + eps)^(p/2))^(1/p)``, polished by an
-  eps -> eps/1000 continuation in three stages.
+* q == p: the penalty is coordinate-separable. The 1-D prox has closed forms
+  for p in {1/2, 1, 3/2, 2} (half thresholding for p = 1/2, Xu et al. 2012;
+  a quadratic in ``sqrt|a|`` for p = 3/2) and is solved by a bracketed
+  bisection on the stationarity equation, plus a comparison with 0, for
+  every other exponent.
+* p == 2: the penalty is ``(||a||_2/lam)^q``, whose prox is the scalar
+  ``|.|^q`` prox of the column norm along the column.
+* anything else: the prox of ``t*(sum|a_i/lam|^p)^(q/p)`` is the separable
+  prox at a scalar multiplier found by a safeguarded Newton search
+  (`_multiplier_prox`); for q < min(p, 1) one separable prox at the
+  multiplier linearized at the current point takes its place, a
+  majorize-minimize step. For p < 1 < q/p the multiplier path can miss the
+  global prox, and the loop's descent check keeps those pairs monotone.
 
-On the convex prox routes (p = q >= 1 and (2, 1)) a column stops on a
-duality-gap certificate: the gap between its objective and the dual value
-at its scaled residual is at most ``obj_tol * max(1, F)``. The nonconvex
-prox routes (p = q < 1) run the loop without momentum and stop on a small
-gain or a small move. Nonconvex exponents (p < 1 or q < 1) get
-deterministic multi-start. Every path ends with an explicit comparison
+Convex pairs (p, q >= 1) run monotone FISTA with per-column adaptive restart
+and stop a column on a duality-gap certificate: the gap between its
+objective and the dual value at its scaled residual is at most
+``obj_tol * max(1, F)``. Nonconvex pairs (p < 1 or q < 1) run the loop
+without momentum, stop on a small gain or a small move, and get
+deterministic multi-start; all starts of a call are solved together, as
+blocks of columns of one loop. Every path ends with an explicit comparison
 against a = 0, so a returned objective never exceeds ``0.5*||x||^2``.
 """
 
@@ -55,6 +60,10 @@ __all__ = [
 
 _MAX_BACKTRACKS = 60
 _BISECT_ITERS = 60
+_SEARCH_STEPS = 60  # multiplier search: Newton steps, each falling back to bisection
+_SEARCH_TOL = 1e-12  # on log(mu*S^(1-r)/(t*r)), i.e. on the relative error of mu
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,6 @@ class SolverConfig:
     grad_tol: float = 1e-10
     obj_tol: float = 1e-8
     restarts: int = 5
-    smoothing_eps: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -78,8 +86,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if int(self.restarts) < 1:
             raise ValueError("restarts must be >= 1")
-        if self.smoothing_eps < 0.0:
-            raise ValueError("smoothing_eps must be nonnegative")
         if int(self.seed) < 0:
             raise ValueError("seed must be an unsigned integer")
 
@@ -122,14 +128,18 @@ def objective(x, D, a, pen: Penalty) -> float:
     return float(0.5 * (r @ r) + penalty_eval(a, pen))
 
 
+def _power_sums(M: np.ndarray, p: float) -> np.ndarray:
+    """``sum_i M_ij^p`` per column, for ``M >= 0``."""
+    if p == 1.0:
+        return np.sum(M, axis=0)
+    if p == 2.0:
+        return _col_sq(M)
+    return np.sum(M**p, axis=0)
+
+
 def _penalty_cols(A: np.ndarray, pen: Penalty) -> np.ndarray:
     """g evaluated on every column at once."""
-    if pen.p == 1.0:
-        S = np.sum(np.abs(A), axis=0) / pen.lam
-    elif pen.p == 2.0:
-        S = _col_sq(A) / (pen.lam * pen.lam)
-    else:
-        S = np.sum((np.abs(A) / pen.lam) ** pen.p, axis=0)
+    S = _power_sums(np.abs(A), pen.p) / pen.lam**pen.p
     if pen.separable:
         return S
     return S ** (pen.q / pen.p)
@@ -172,47 +182,192 @@ def _prox_power_scalar(z: float, s: float, p: float) -> float:
     return 0.0
 
 
+def _prox_magnitude(y: np.ndarray, s, p: float) -> np.ndarray:
+    """`_prox_power_scalar` on every magnitude ``y >= 0`` at once; s broadcasts.
+
+    Closed forms for p in {1/2, 1, 3/2, 2}: half thresholding for p = 1/2
+    (Xu et al. 2012) and a quadratic in ``sqrt(a)`` for p = 3/2. Other
+    exponents bisect on the stationarity equation as the scalar version does.
+    An infinite weight gives 0, a zero weight returns y unchanged.
+    """
+    s = np.asarray(s, dtype=float)
+    if p == 1.0:
+        return np.maximum(y - s, 0.0)
+    if p == 2.0:
+        return y / (1.0 + 2.0 * s)
+    if p == 1.5:
+        # a + 1.5*s*sqrt(a) = y is a quadratic in u = sqrt(a); this root form
+        # stays finite for s = inf and for y = s = 0
+        c = 1.5 * s
+        u = 2.0 * y / np.maximum(c + np.sqrt(c * c + 4.0 * y), _TINY)
+        a = u * u
+    elif p == 0.5:
+        # the global minimizer is nonzero exactly above y = 1.5*s^(2/3)
+        take = y > 1.5 * s ** (2.0 / 3.0)
+        ys = np.where(take, y, 1.0)
+        phi = np.arccos(np.where(take, s, 0.0) / 4.0 * (ys / 3.0) ** -1.5)
+        a = np.where(take, 2.0 / 3.0 * ys * (1.0 + np.cos(2.0 * np.pi / 3.0 - 2.0 / 3.0 * phi)), 0.0)
+    else:
+        s = np.broadcast_to(s, y.shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if p > 1.0:
+                lo = np.zeros_like(y)
+                hi = y.copy()
+                for _ in range(_BISECT_ITERS):
+                    mid = 0.5 * (lo + hi)
+                    up = mid - y + s * p * mid ** (p - 1.0) > 0.0
+                    hi = np.where(up, mid, hi)
+                    lo = np.where(up, lo, mid)
+                a = 0.5 * (lo + hi)
+            else:
+                a_c = (s * p * (1.0 - p)) ** (1.0 / (2.0 - p))
+                safe = np.where(a_c > 0.0, a_c, 1.0)
+                psi_c = a_c - y + s * p * safe ** (p - 1.0)
+                interior = (a_c < y) & (psi_c < 0.0) & (s > 0.0) & (y > 0.0)
+                lo = np.where(interior, a_c, 0.0)
+                hi = np.where(interior, y, 0.0)
+                for _ in range(_BISECT_ITERS):
+                    mid = 0.5 * (lo + hi)
+                    safe = np.where(mid > 0.0, mid, 1.0)
+                    up = mid - y + s * p * safe ** (p - 1.0) > 0.0
+                    hi = np.where(up & interior, mid, hi)
+                    lo = np.where(up | ~interior, lo, mid)
+                root = 0.5 * (lo + hi)
+                take = interior & (0.5 * (root - y) ** 2 + s * root**p < 0.5 * y * y)
+                a = np.where(take, root, 0.0)
+    return np.where(s == 0.0, y, a)
+
+
 def _prox_power_vector(Z: np.ndarray, s, p: float) -> np.ndarray:
     """Vectorized version of `_prox_power_scalar`; s broadcasts over Z."""
+    return np.copysign(_prox_magnitude(np.abs(Z), s, p), Z)
+
+
+def _dual_norms(V: np.ndarray, p: float) -> np.ndarray:
+    """Column norms ``||V||_p*`` dual to ``||.||_p``, for p >= 1."""
+    if p == 1.0:
+        return np.max(np.abs(V), axis=0)
+    if p == 2.0:
+        return np.sqrt(_col_sq(V))
+    e = p / (p - 1.0)
+    M = np.abs(V)
+    top = np.max(M, axis=0)
+    M /= np.where(top > 0.0, top, 1.0)  # scaled, so that large e cannot overflow
+    return top * _power_sums(M, e) ** (1.0 / e)
+
+
+def _multiplier_prox(Z: np.ndarray, t: np.ndarray, pen: Penalty, Y: np.ndarray) -> np.ndarray:
+    """Prox of ``t * S(a)^r`` per column, ``S(a) = sum|a_i/lam|^p``, ``r = q/p``.
+
+    The minimizer is the separable prox ``a(mu) = prox_{mu*|./lam|^p}(Z)``
+    at a multiplier with ``psi(mu) = mu - t*r*S(a(mu))^(r-1) = 0``. Along
+    ``a(mu)`` the prox objective falls where ``psi < 0`` and rises where
+    ``psi > 0``, and ``psi <= 0`` on ``[0, mu_hi]``, ``mu_hi = t*r*S(Z)^(r-1)``.
+    So for q > p the root is the unique one in ``[0, mu_hi]``; for
+    ``p > q >= 1`` (a convex prox) it is the first one above ``mu_hi``, and
+    for q = 1 none exists, and the prox is 0, when ``lam*||Z||_p* <= t``.
+    A safeguarded Newton search on ``log(mu*S^(1-r)/(t*r))`` in ``log(mu)``
+    finds it, started from the multiplier at Y, the point the step was taken
+    from. For ``q < min(p, 1)`` there is no search: one separable prox at
+    the multiplier linearized at Y minimizes a majorizer, since ``S^r`` is
+    concave in S; ``a = 0`` is then a strict local minimum anyway, and Y = 0
+    maps to 0. When p < 1 or q < 1 the result is also compared with ``a = 0``.
+    For ``p < 1 < q/p`` the path skips jumps of the separable prox, so the
+    result need not be the global prox; the loop's descent check covers it.
+
+    Overwrites Z with the result and returns it.
+    """
+    p, q, lam = pen.p, pen.q, pen.lam
+    r = q / p
+    lp = lam**-p
     y = np.abs(Z)
-    s = np.broadcast_to(np.asarray(s, dtype=float), Z.shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if p > 1.0:
-            lo = np.zeros_like(y)
-            hi = y.copy()
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                up = mid - y + s * p * mid ** (p - 1.0) > 0.0
-                hi = np.where(up, mid, hi)
-                lo = np.where(up, lo, mid)
-            a = 0.5 * (lo + hi)
-        else:
-            a_c = (s * p * (1.0 - p)) ** (1.0 / (2.0 - p))
-            safe = np.where(a_c > 0.0, a_c, 1.0)
-            psi_c = a_c - y + s * p * safe ** (p - 1.0)
-            interior = (a_c < y) & (psi_c < 0.0) & (s > 0.0) & (y > 0.0)
-            lo = np.where(interior, a_c, 0.0)
-            hi = np.where(interior, y, 0.0)
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                safe = np.where(mid > 0.0, mid, 1.0)
-                up = mid - y + s * p * safe ** (p - 1.0) > 0.0
-                hi = np.where(up & interior, mid, hi)
-                lo = np.where(up | ~interior, lo, mid)
-            root = 0.5 * (lo + hi)
-            take = interior & (0.5 * (root - y) ** 2 + s * root**p < 0.5 * y * y)
-            a = np.where(take, root, 0.0)
-        a = np.where(s == 0.0, y, a)
-    return np.sign(Z) * a
+    c = np.broadcast_to(t * r, Z.shape[1:])
+    Sz = _power_sums(y, p) * lp
+    Sy = _power_sums(np.abs(Y), p) * lp
+    live = (c > 0.0) & (Sz > 0.0)
+    mag = np.where(live, 0.0, y)  # a zero step or a zero column is its own prox
+    if q == 1.0 and p > 1.0:
+        live &= lam * _dual_norms(y, p) > t
+    if q < min(p, 1.0):
+        live &= Sy > 0.0
+    J = slice(None) if live.all() else np.flatnonzero(live)
+    yJ, cJ, SyJ = y[:, J], c[J], Sy[J]
+    if q < min(p, 1.0):
+        mag[:, J] = _prox_magnitude(yJ, cJ * SyJ ** (r - 1.0) * lp, p)
+    else:
+        mag[:, J] = _multiplier_search(yJ, cJ, Sz[J], SyJ, p, r, lp)
+    if p < 1.0 or q < 1.0:
+        lose = 0.5 * _col_sq(mag - y) + t * (_power_sums(mag, p) * lp) ** r >= 0.5 * _col_sq(y)
+        mag[:, lose & live] = 0.0
+    return np.copysign(mag, Z, out=Z)
 
 
-def _prox_step(Z: np.ndarray, steps, pen: Penalty) -> np.ndarray:
+def _multiplier_search(y, c, Sz, Sy, p: float, r: float, lp: float) -> np.ndarray:
+    """Magnitudes ``a(mu)`` at the root of ``g = log(mu*S(a(mu))^(1-r)/c)``,
+    ``c = t*r``, per column (see `_multiplier_prox`); every column has
+    ``c > 0`` and ``S(y) > 0``.
+
+    In ``log(mu)``, g has slope ``1 - (1-r)*e`` with ``e = -mu*S'/S`` in
+    ``[0, p/(p-1)]``; that slope is at least 1 for r > 1 and, for
+    ``p > q >= 1``, at least ``(q-1)/(p-1)``. Newton steps stay inside a
+    bracket of the root and fall back to bisection. A column stops moving
+    once ``|g| <= _SEARCH_TOL`` or its bracket has closed.
+    """
+    mu_hi = c * Sz ** (r - 1.0)
+    if r > 1.0:
+        lo, hi = np.zeros_like(mu_hi), mu_hi
+    else:
+        lo, hi = mu_hi, np.full_like(mu_hi, np.inf)
+    best = np.full_like(mu_hi, np.inf)
+    mag = np.zeros_like(y)
+    # S(Y) = 0 gives an infinite or zero start, S(a) = 0 an infinite g, and a
+    # zero slope a wild Newton point: the bracket test catches each of them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mu = c * Sy ** (r - 1.0)
+        mu = np.where((mu > lo) & (mu < hi), mu, mu_hi)
+        log_c = np.log(c)
+        for _ in range(_SEARCH_STEPS):
+            A = _prox_magnitude(y, mu * lp, p)
+            Ap = A if p == 1.0 else A**p
+            sum_ap = Ap.sum(axis=0)
+            if p < 1.0:
+                # the separable prox jumps, so g can step over 0 and the
+                # search then closes on the jump: keep the best point seen
+                f = 0.5 * _col_sq(A - y) + c / r * (sum_ap * lp) ** r
+                keep = f < best
+                best = np.where(keep, f, best)
+                np.copyto(mag, A, where=keep)
+            g = np.log(mu) - log_c + (1.0 - r) * np.log(sum_ap * lp)
+            done = (np.abs(g) <= _SEARCH_TOL) | (hi <= lo * (1.0 + 4.0 * _EPS))
+            if done.all():
+                break
+            lo = np.where(g < 0.0, mu, lo)
+            hi = np.where(g > 0.0, mu, hi)
+            R = y - A
+            w = np.divide(Ap * R, A + (p - 1.0) * R, out=np.zeros_like(A), where=A > 0.0)
+            mu_next = mu * np.exp(-g * sum_ap / (sum_ap - (1.0 - r) * p * w.sum(axis=0)))
+            inside = (mu_next > lo) & (mu_next < hi)
+            if not inside.all():
+                if r > 1.0:
+                    mid = np.where(lo > 0.0, np.sqrt(lo * hi), 0.5 * hi)
+                else:
+                    mid = np.where(hi < np.inf, np.sqrt(lo * hi), 4.0 * lo)
+                mu_next = np.where(inside, mu_next, mid)
+            mu = np.where(done, mu, mu_next)
+    return mag if p < 1.0 else A
+
+
+def _prox_step(Z: np.ndarray, steps, pen: Penalty, Y: np.ndarray) -> np.ndarray:
     """Prox of ``step * g`` applied columnwise; `steps` is scalar or per-column.
 
-    The closed-form routes overwrite Z with the result and return it.
+    Separable penalties (q == p) take the elementwise prox, p = 2 the scalar
+    ``|.|^q`` prox of each column's norm, and every other pair the
+    multiplier search of `_multiplier_prox`, which starts from Y, the point
+    the step was taken from. Z may be overwritten: use the returned array.
     """
+    t = np.asarray(steps, dtype=float)
     if pen.separable:
-        s = np.asarray(steps, dtype=float) * pen.lam ** (-pen.p)
+        s = t * pen.lam ** (-pen.p)
         if pen.p == 1.0:
             mag = np.abs(Z)
             mag -= s
@@ -222,18 +377,12 @@ def _prox_step(Z: np.ndarray, steps, pen: Penalty) -> np.ndarray:
             Z /= 1.0 + 2.0 * s
             return Z
         return _prox_power_vector(Z, s, pen.p)
-    if pen.p == 2.0 and pen.q == 1.0:
-        t = np.asarray(steps, dtype=float) / pen.lam
+    if pen.p == 2.0:
         norms = np.sqrt(_col_sq(Z))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(norms > 0.0, np.maximum(1.0 - t / norms, 0.0), 0.0)
-        Z *= scale
+        rho = _prox_magnitude(norms, t * pen.lam ** (-pen.q), pen.q)
+        Z *= np.divide(rho, norms, out=np.zeros_like(norms), where=norms > 0.0)
         return Z
-    raise ValueError(f"no prox route for exponents (p={pen.p}, q={pen.q})")
-
-
-def _has_prox(pen: Penalty) -> bool:
-    return pen.separable or (pen.p == 2.0 and pen.q == 1.0)
+    return _multiplier_prox(Z, t, pen, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +406,20 @@ def _duality_gap(A, v, fit, pen_a, pen: Penalty) -> np.ndarray:
     With ``v = h - G a = D^T r`` for the residual ``r = x - D a``, the dual
     point ``c*r`` has value ``c*(2*base - h.a) - c^2*fit - g*(c*v)``; using
     ``h.a = 2*base - 2*fit - a.v`` the gap is
-    ``g(a) + g*(c*v) - c*a.v + (1 - c)^2*fit``. For the norm penalties g* is
-    the indicator of the dual-norm ball of radius 1/lam, so ``c`` scales the
-    residual into it; for ``p = q > 1`` the residual itself is the dual point.
+    ``g(a) + g*(c*v) - c*a.v + (1 - c)^2*fit``. For q > 1 the conjugate of
+    ``g = (||.||_p/lam)^q`` is ``(1-1/q)*q^(-1/(q-1))*(lam*||v||_p*)^(q/(q-1))``
+    and the residual itself is the dual point (c = 1). For q = 1, g* is the
+    indicator of the dual-norm ball of radius 1/lam, and c scales the
+    residual into it.
     """
     av = np.einsum("ij,ij->j", A, v)
-    if pen.p > 1.0 and pen.separable:
-        p = pen.p
-        e = p / (p - 1.0)
-        if p == 2.0:
-            S = pen.lam * pen.lam * _col_sq(v)
-        else:
-            with np.errstate(over="ignore"):  # an infinite gap only defers the stop
-                S = np.sum((pen.lam * np.abs(v)) ** e, axis=0)
-        return pen_a + (1.0 - 1.0 / p) * p ** (-1.0 / (p - 1.0)) * S - av
-    if pen.p == 1.0:  # (1, 1): the dual norm is the max norm
-        dual_norm = np.max(np.abs(v), axis=0)
-    else:  # (2, 1)
-        dual_norm = np.sqrt(_col_sq(v))
-    c = 1.0 / np.maximum(1.0, pen.lam * dual_norm)
+    q = pen.q
+    lam_norm = pen.lam * _dual_norms(v, pen.p)
+    if q > 1.0:
+        with np.errstate(over="ignore"):  # an infinite gap only defers the stop
+            conj = (1.0 - 1.0 / q) * q ** (-1.0 / (q - 1.0)) * lam_norm ** (q / (q - 1.0))
+        return pen_a + conj - av
+    c = 1.0 / np.maximum(1.0, lam_norm)
     return pen_a - c * av + (1.0 - c) ** 2 * fit
 
 
@@ -289,9 +433,9 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
     objective is dropped and restarts its momentum (``t = 1``, ``Y = A``);
     the column retires when such a plain step still fails to descend.
 
-    Convex routes retire a column once its duality gap is at most
-    ``obj_tol * max(1, F)``, or once its gradient mapping passes the
-    `grad_tol` test. Nonconvex separable routes (p < 1) run without momentum
+    Convex routes (p, q >= 1) retire a column once its duality gap is at
+    most ``obj_tol * max(1, F)``, or once its gradient mapping passes the
+    `grad_tol` test. Nonconvex routes (p < 1 or q < 1) run without momentum
     and retire on a small gain or a small move.
 
     A retired column gets step 0 and no momentum, which freezes it in the
@@ -300,7 +444,7 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
     arithmetic at a bounded fraction.
     """
     d, n = G.shape[0], h.shape[1]
-    convex = pen.p >= 1.0
+    convex = pen.p >= 1.0 and pen.q >= 1.0
     step0 = 1.0 / max(_top_eigenvalue(G), 1e-12)
 
     A_out = None  # allocated at the first compaction
@@ -325,7 +469,7 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
             Z = GY - hw  # the gradient at Y, turned into the forward step in place
             Z *= -sw
             Z += Y
-            Z = _prox_step(Z, sw, pen)
+            Z = _prox_step(Z, sw, pen, Y)
             pZ = _penalty_cols(Z, pen)
             delta = Z - Y
             GZ = G @ Z
@@ -410,65 +554,6 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
 
 
 # ---------------------------------------------------------------------------
-# smoothed gradient descent for non-prox exponent pairs
-
-
-def _smoothed_value_grad(a, G, h, b, pen: Penalty, eps: float):
-    fit = b - h @ a + 0.5 * a @ (G @ a)
-    u = (a / pen.lam) ** 2 + eps
-    up = u ** (pen.p / 2.0)
-    S = float(np.sum(up))
-    val = fit + S ** (pen.q / pen.p)
-    coef = pen.q * S ** (pen.q / pen.p - 1.0) if S > 0.0 else 0.0
-    grad = (G @ a - h) + coef * u ** (pen.p / 2.0 - 1.0) * a / pen.lam**2
-    return float(val), grad
-
-
-def _smoothed_descent(G, h, b, pen: Penalty, cfg: SolverConfig, a0):
-    """Armijo gradient descent on the smoothed objective, with continuation.
-
-    Runs one solve at `smoothing_eps` and then three polishing stages with
-    eps divided by 10 each time; the caller re-evaluates the true objective.
-    """
-    a = np.array(a0, dtype=float)
-    eps = max(cfg.smoothing_eps, 1e-300)
-    budget = max(int(cfg.max_iters) // 4, 25)
-    step0 = 1.0 / max(_top_eigenvalue(G), 1e-12)
-    total = 0
-    converged = True
-    for _stage in range(4):
-        step = step0
-        val, grad = _smoothed_value_grad(a, G, h, b, pen, eps)
-        stage_conv = False
-        for _ in range(budget):
-            gn2 = float(grad @ grad)
-            if math.sqrt(gn2) <= cfg.grad_tol * max(1.0, float(np.linalg.norm(a))):
-                stage_conv = True
-                break
-            step = min(step * 2.0, 1e6 * step0)
-            accepted = False
-            while step > 1e-20:
-                cand = a - step * grad
-                cval, cgrad = _smoothed_value_grad(cand, G, h, b, pen, eps)
-                if cval <= val - 1e-4 * step * gn2:
-                    accepted = True
-                    break
-                step *= cfg.step_shrink
-            total += 1
-            if not accepted:
-                stage_conv = True
-                break
-            if val - cval <= cfg.obj_tol * max(1.0, abs(cval)):
-                a, val, grad = cand, cval, cgrad
-                stage_conv = True
-                break
-            a, val, grad = cand, cval, cgrad
-        converged = converged and stage_conv
-        eps *= 0.1
-    return a, total, converged
-
-
-# ---------------------------------------------------------------------------
 # multi-start orchestration
 
 
@@ -485,9 +570,12 @@ def _random_l1_ball_points(radii: np.ndarray, d: int, rng) -> np.ndarray:
 def _solve_columns(Xmat: np.ndarray, D: Dictionary, pen: Penalty, cfg: SolverConfig, warm=None):
     """Code every column of Xmat; returns (A, obj, iters, conv) arrays.
 
-    Candidates from every start (and the literal zero vector) are merged
-    per column: strictly smaller objective wins, ties break toward smaller
-    l1 norm and then toward the earlier candidate.
+    Every start (zero, the warm start, and for nonconvex exponents a ridge
+    start and seeded random ones) is a block of columns in one
+    `_prox_grad_descent` call. The candidates, and the literal zero vector,
+    are merged per column: strictly smaller objective wins, ties break toward
+    smaller l1 norm and then toward the earlier candidate. `iters` sums the
+    iterations of every start.
     """
     atoms = D.atoms
     d, n = atoms.shape[1], Xmat.shape[1]
@@ -496,45 +584,41 @@ def _solve_columns(Xmat: np.ndarray, D: Dictionary, pen: Penalty, cfg: SolverCon
     base = 0.5 * _col_sq(Xmat)
 
     nonconvex = pen.p < 1.0 or pen.q < 1.0
-    starts: list[np.ndarray] = [np.zeros((d, n))]
-    if warm is not None:
-        starts.append(np.asarray(warm, dtype=float))
-    if nonconvex:
-        ridge = np.linalg.solve(G + 1e-6 * max(_top_eigenvalue(G), 1.0) * np.eye(d), h)
-        starts.append(ridge)
-        radii = np.array([l1_bound_from_penalty(t, pen, d) for t in base])
-        for k in range(max(int(cfg.restarts) - 2, 0)):
-            rng = np.random.default_rng([int(cfg.seed), 9151, k])
-            starts.append(_random_l1_ball_points(radii, d, rng))
+    randoms = max(int(cfg.restarts) - 2, 0) if nonconvex else 0
+    k = 1 + (warm is not None) + nonconvex + randoms
+    if k == 1:
+        A, obj, it, conv = _prox_grad_descent(G, h, base, pen, cfg, np.zeros((d, n)))
+    else:
+        A0 = np.empty((d, k * n))  # one block of columns per start
+        A0[:, :n] = 0.0
+        j = n
+        if warm is not None:
+            A0[:, j : j + n] = warm
+            j += n
+        if nonconvex:
+            A0[:, j : j + n] = np.linalg.solve(G + 1e-6 * max(_top_eigenvalue(G), 1.0) * np.eye(d), h)
+            j += n
+            radii = np.array([l1_bound_from_penalty(t, pen, d) for t in base])
+            for i in range(randoms):
+                rng = np.random.default_rng([int(cfg.seed), 9151, i])
+                A0[:, j : j + n] = _random_l1_ball_points(radii, d, rng)
+                j += n
+        A, obj, it, conv = _prox_grad_descent(G, np.tile(h, k), np.tile(base, k), pen, cfg, A0)
 
     # zero is always a candidate: objective 0.5*||x||^2 at l1 norm 0
     best_A = np.zeros((d, n))
     best_obj = base.copy()
     best_l1 = np.zeros(n)
     best_conv = np.ones(n, dtype=bool)
-    iters = np.zeros(n, dtype=int)
-
-    for A0 in starts:
-        if _has_prox(pen):
-            A, obj, it, conv = _prox_grad_descent(G, h, base, pen, cfg, A0)
-        else:
-            A = np.empty((d, n))
-            obj = np.empty(n)
-            it = np.zeros(n, dtype=int)
-            conv = np.zeros(n, dtype=bool)
-            for j in range(n):
-                aj, tj, cj = _smoothed_descent(G, h[:, j], float(base[j]), pen, cfg, A0[:, j])
-                A[:, j] = aj
-                obj[j] = float(base[j]) - h[:, j] @ aj + 0.5 * aj @ (G @ aj) + penalty_eval(aj, pen)
-                it[j], conv[j] = tj, cj
-        iters += it
-        l1 = np.sum(np.abs(A), axis=0)
-        better = (obj < best_obj) | ((obj == best_obj) & (l1 < best_l1))
-        best_A[:, better] = A[:, better]
-        best_obj[better] = obj[better]
+    for j in range(0, k * n, n):
+        Aj, obj_j = A[:, j : j + n], obj[j : j + n]
+        l1 = np.sum(np.abs(Aj), axis=0)
+        better = (obj_j < best_obj) | ((obj_j == best_obj) & (l1 < best_l1))
+        best_A[:, better] = Aj[:, better]
+        best_obj[better] = obj_j[better]
         best_l1[better] = l1[better]
-        best_conv[better] = conv[better]
-    return best_A, best_obj, iters, best_conv
+        best_conv[better] = conv[j : j + n][better]
+    return best_A, best_obj, it.reshape(k, n).sum(axis=0), best_conv
 
 
 def _check_signal(x: np.ndarray, m: int) -> np.ndarray:
@@ -551,14 +635,12 @@ def _check_signal(x: np.ndarray, m: int) -> np.ndarray:
 def sparse_code(x, D: Dictionary, pen: Penalty, cfg: SolverConfig = SolverConfig()) -> CodingResult:
     """Code one unit-ball signal; the result never beats-by-losing to a = 0.
 
-    On the convex prox routes (p = q >= 1 and (2, 1)) a converged result is
-    within ``cfg.obj_tol * max(1, F)`` of the infimum, certified by a
-    duality gap; it stops short of that certificate only where the gradient
-    mapping is already below `cfg.grad_tol` or a plain step no longer
-    descends in floating point. Convex pairs without a prox take the
-    smoothed route, which carries no certificate. For nonconvex pairs the
-    result is the best of `cfg.restarts` deterministic starts, each run to a
-    stationary point.
+    For convex pairs (p, q >= 1) a converged result is within
+    ``cfg.obj_tol * max(1, F)`` of the infimum, certified by a duality gap;
+    it stops short of that certificate only where the gradient mapping is
+    already below `cfg.grad_tol` or a plain step no longer descends in
+    floating point. For nonconvex pairs the result is the best of
+    `cfg.restarts` deterministic starts, each run to a stationary point.
     """
     x = _check_signal(x, D.m)
     A, _obj, iters, conv = _solve_columns(x[:, None], D, pen, cfg)

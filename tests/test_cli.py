@@ -134,6 +134,18 @@ class TestLearn:
         assert code == 1
         assert "--config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coding", [{"bogus": 1}, {"max_iters": 0}])
+    def test_invalid_coding_key_is_validation(self, capsys, tmp_path, coding):
+        data = str(tmp_path / "data.csv")
+        write_matrix(data, np.zeros((2, 3)))
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"coding": coding}, fh)
+        code = run(f"learn --data {data} --d 2 --p 1 --q 1 --lambda 1 --config {cfg}".split())
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config:") and err.count("\n") == 1
+
 
 class TestExperiment:
     def test_runs_tiny_sweep(self, capsys, tmp_path):

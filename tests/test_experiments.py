@@ -271,6 +271,18 @@ class TestExport:
         with pytest.raises(ValueError, match=key):
             load_curve(path)
 
+    def test_load_rejects_config_echo_that_does_not_rebuild(self, tmp_path):
+        path = str(tmp_path / "curve.csv")
+        export(gap_sweep(tiny_config(n_grid=(16,), trials=1)), path)
+        side = str(tmp_path / "curve.json")
+        with open(side) as fh:
+            sidecar = json.load(fh)
+        sidecar["config"]["learn"]["coding"]["smoothing_eps"] = 1e-6  # a field this version lacks
+        with open(side, "w") as fh:
+            json.dump(sidecar, fh)
+        with pytest.raises(ValueError, match="curve.csv"):
+            load_curve(path)
+
     def test_config_round_trips_through_json(self):
         cfg = tiny_config()
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
