@@ -128,6 +128,7 @@ class TestSolverConfig:
             {"obj_tol": 0.0},
             {"restarts": 0},
             {"seed": -1},
+            {"grad_tol": 0.0},
         ],
     )
     def test_validation(self, kw):
