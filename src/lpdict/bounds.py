@@ -17,12 +17,13 @@ statements evaluated here in double precision.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dictionary, Penalty, SignalSet, l1_factor
+from .core import Penalty, SignalSet, _signals_of, l1_factor
 
 __all__ = [
     "BoundInputs",
@@ -47,8 +48,14 @@ _MAX_SAMPLES = 1 << 62
 
 
 def _signal_norms(X) -> np.ndarray:
-    mat = X.signals if isinstance(X, SignalSet) else np.asarray(X, dtype=float)
-    return np.linalg.norm(mat, axis=0)
+    return np.linalg.norm(_signals_of(X), axis=0)
+
+
+def _confidence(x) -> float:
+    x = float(x)
+    if not np.isfinite(x) or x < 0.0:
+        raise ValueError(f"confidence_x must be a nonnegative finite real, got {x!r}")
+    return x
 
 
 def _per_sample_l1_radius(norms: np.ndarray, pen: Penalty, d: int) -> np.ndarray:
@@ -87,6 +94,12 @@ def worst_case_L(pen: Penalty, d: int) -> float:
     constant exceeds L with probability zero.
     """
     return pen.lam * l1_factor(pen.p, d) * 0.5 ** (1.0 / pen.q)
+
+
+def _derived_L(pen: Penalty, d: int) -> float:
+    """The L used when none is supplied: `worst_case_L` nudged up by 1e-9 so
+    the strict inequality the bound requires holds literally."""
+    return worst_case_L(pen, d) * (1.0 + _STRICTNESS_BUMP)
 
 
 def log_covering_number(m: int, d: int, eps: float) -> float:
@@ -140,11 +153,9 @@ def compute_eta(n: int, beta: float, confidence_x: float) -> float:
     if n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     beta = float(beta)
-    x = float(confidence_x)
+    x = _confidence(confidence_x)
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    if x < 0.0:
-        raise ValueError(f"confidence_x must be nonnegative, got {x!r}")
     return 2.0 * math.sqrt(beta * math.log(n) / n) + math.sqrt((beta + x / _SQRT8) / n)
 
 
@@ -159,12 +170,10 @@ def proof_constants(n: int, m: int, d: int, L: float, confidence_x: float):
     the identity is re-verified to 1e-10 relative before returning.
     """
     n = int(n)
-    x = float(confidence_x)
+    x = _confidence(confidence_x)
     beta = compute_beta(m, d, L)
     if n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if x < 0.0:
-        raise ValueError(f"confidence_x must be nonnegative, got {x!r}")
     eps = math.sqrt(beta * math.log(n) / n) / (2.0 * float(L))
     if not 0.0 < eps < 1.0:
         raise ValueError(
@@ -200,8 +209,7 @@ class BoundInputs:
             raise ValueError("m and d must be positive integers")
         if int(self.n) < 1:
             raise ValueError("n must be a positive integer")
-        if float(self.confidence_x) < 0.0:
-            raise ValueError("confidence_x must be nonnegative")
+        _confidence(self.confidence_x)
         if self.L is not None and (not np.isfinite(float(self.L)) or float(self.L) <= 0.0):
             raise ValueError("L must be a positive finite real when supplied")
 
@@ -227,19 +235,7 @@ class BoundReport:
     c_x_squared: float
 
     def to_dict(self) -> dict:
-        return {
-            "L_X": self.L_X,
-            "C_X": self.C_X,
-            "L_worst": self.L_worst,
-            "beta": self.beta,
-            "eta": self.eta,
-            "log_covering": self.log_covering,
-            "epsilon_net": self.epsilon_net,
-            "tau": self.tau,
-            "gamma": self.gamma,
-            "hoeffding_tail": self.hoeffding_tail,
-            "c_x_squared": self.c_x_squared,
-        }
+        return dataclasses.asdict(self)
 
 
 def full_report(inputs: BoundInputs, X: SignalSet | None = None) -> BoundReport:
@@ -250,7 +246,7 @@ def full_report(inputs: BoundInputs, X: SignalSet | None = None) -> BoundReport:
     """
     pen, m, d, n = inputs.pen, int(inputs.m), int(inputs.d), int(inputs.n)
     x = float(inputs.confidence_x)
-    L = float(inputs.L) if inputs.L is not None else worst_case_L(pen, d) * (1.0 + _STRICTNESS_BUMP)
+    L = float(inputs.L) if inputs.L is not None else _derived_L(pen, d)
     beta = compute_beta(m, d, L)
     eta = compute_eta(n, beta, x)
     eps, tau, gamma = proof_constants(n, m, d, L, x)

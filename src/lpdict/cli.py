@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -52,18 +53,20 @@ def _read_matrix(path: str, flag: str) -> np.ndarray:
     return M
 
 
+@contextmanager
+def _flags(*names: str):
+    """Blame a rejection by the core types inside the block on the flags that
+    fed it: ``<flags>: <core message>``, exit 1. The core raises ValueError
+    for a bad value, TypeError or KeyError for a bad or missing config key."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _CliValidation(f"{', '.join(names)}: {exc}") from exc
+
+
 def _penalty_from(args) -> Penalty:
-    for flag, value in (("--p", args.p), ("--q", args.q), ("--lambda", args.lam)):
-        if not np.isfinite(value) or value <= 0.0:
-            raise _CliValidation(f"{flag} must be a positive finite real, got {value}")
-    return Penalty(p=args.p, q=args.q, lam=args.lam)
-
-
-def _positive_int(args_value, flag: str) -> int:
-    v = int(args_value)
-    if v < 1:
-        raise _CliValidation(f"{flag} must be a positive integer, got {args_value}")
-    return v
+    with _flags("--p", "--q", "--lambda"):
+        return Penalty(p=args.p, q=args.q, lam=args.lam)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a gap sweep from a JSON config")
     e.add_argument("--config", required=True)
     e.add_argument("--out", required=True, help="output directory")
-    e.add_argument("--threads", type=int, default=1, help="worker threads (0 = auto)")
 
     sub.add_parser("check", help="run the fixed-seed oracle and inequality self-checks")
     return parser
@@ -120,41 +122,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bound(args) -> int:
     pen = _penalty_from(args)
-    m = _positive_int(args.m, "--m")
-    d = _positive_int(args.d, "--d")
-    n = _positive_int(args.n, "--n")
-    if args.confidence < 0.0:
-        raise _CliValidation(f"--confidence must be nonnegative, got {args.confidence}")
-    if args.L is not None and args.L <= 0.0:
-        raise _CliValidation(f"--L must be positive, got {args.L}")
-    if n < 3:
-        print("warning: the bound's derivation needs log(n) >= 1, i.e. n >= 3", file=sys.stderr)
-    X = SignalSet(_read_matrix(args.signals, "--signals")) if args.signals else None
-    inputs = bounds.BoundInputs(m=m, d=d, pen=pen, n=n, confidence_x=args.confidence, L=args.L)
-    try:
+    X = None
+    if args.signals:
+        with _flags("--signals"):
+            X = SignalSet(_read_matrix(args.signals, "--signals"))
+    with _flags("--m", "--d", "--n", "--confidence", "--L"):
+        inputs = bounds.BoundInputs(m=args.m, d=args.d, pen=pen, n=args.n, confidence_x=args.confidence, L=args.L)
         report = bounds.full_report(inputs, X)
-    except ValueError as exc:
-        raise _CliValidation(str(exc)) from exc
+    if args.n < 3:
+        print("warning: the bound's derivation needs log(n) >= 1, i.e. n >= 3", file=sys.stderr)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
 
 def _cmd_samplesize(args) -> int:
     pen = _penalty_from(args)
-    m = _positive_int(args.m, "--m")
-    d = _positive_int(args.d, "--d")
-    if args.target_eta <= 0.0:
-        raise _CliValidation(f"--target-eta must be positive, got {args.target_eta}")
-    if args.confidence < 0.0:
-        raise _CliValidation(f"--confidence must be nonnegative, got {args.confidence}")
-    L = args.L if args.L is not None else bounds.worst_case_L(pen, d) * (1.0 + 1e-9)
-    if L <= 0.0:
-        raise _CliValidation(f"--L must be positive, got {args.L}")
-    try:
-        n = bounds.required_samples(args.target_eta, m, d, L, args.confidence)
-    except ValueError as exc:
-        raise _CliValidation(str(exc)) from exc
-    beta = bounds.compute_beta(m, d, L)
+    with _flags("--target-eta", "--m", "--d", "--L", "--confidence"):
+        L = args.L if args.L is not None else bounds._derived_L(pen, args.d)
+        n = bounds.required_samples(args.target_eta, args.m, args.d, L, args.confidence)
+    beta = bounds.compute_beta(args.m, args.d, L)
     out = {
         "n": n,
         "eta_at_n": bounds.compute_eta(n, beta, args.confidence),
@@ -169,18 +155,12 @@ def _cmd_samplesize(args) -> int:
 def _cmd_code(args) -> int:
     pen = _penalty_from(args)
     x = _read_matrix(args.signal, "--signal").ravel()
-    Dm = _read_matrix(args.dict_path, "--dict")
-    try:
-        D = Dictionary(Dm)
-    except ValueError as exc:
-        raise _CliValidation(f"--dict: {exc}") from exc
-    if args.max_iters < 1 or args.restarts < 1 or args.seed < 0:
-        raise _CliValidation("--max-iters and --restarts must be >= 1, --seed >= 0")
-    cfg = sparse_coding.SolverConfig(max_iters=args.max_iters, restarts=args.restarts, seed=args.seed)
-    try:
+    with _flags("--dict"):
+        D = Dictionary(_read_matrix(args.dict_path, "--dict"))
+    with _flags("--max-iters", "--restarts", "--seed"):
+        cfg = sparse_coding.SolverConfig(max_iters=args.max_iters, restarts=args.restarts, seed=args.seed)
+    with _flags("--signal"):
         result = sparse_coding.sparse_code(x, D, pen, cfg)
-    except ValueError as exc:
-        raise _CliValidation(f"--signal: {exc}") from exc
     out = {
         "coeffs": [float(v) for v in result.coeffs],
         "objective": result.objective,
@@ -194,12 +174,8 @@ def _cmd_code(args) -> int:
 
 def _cmd_learn(args) -> int:
     pen = _penalty_from(args)
-    d = _positive_int(args.d, "--d")
-    Xm = _read_matrix(args.data, "--data")
-    try:
-        X = SignalSet(Xm)
-    except ValueError as exc:
-        raise _CliValidation(f"--data: {exc}") from exc
+    with _flags("--data"):
+        X = SignalSet(_read_matrix(args.data, "--data"))
     overrides = {}
     if args.config:
         try:
@@ -209,18 +185,19 @@ def _cmd_learn(args) -> int:
             raise OSError(f"--config: cannot read {args.config!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise _CliValidation(f"--config: malformed JSON in {args.config!r}: {exc}") from exc
-    try:
+    with _flags("--config"):
+        overrides = dict(overrides)  # a JSON scalar has no keys
         coding = sparse_coding.SolverConfig(**overrides.pop("coding", {}))
+    with _flags("--config", "--seed"):
         cfg = learning.LearnConfig(seed=args.seed, coding=coding, **overrides)
-    except (TypeError, ValueError) as exc:
-        raise _CliValidation(f"--config: {exc}") from exc
-    trace = learning.learn(X, X.m, d, pen, cfg)
+    with _flags("--d"):
+        trace = learning.learn(X, X.m, args.d, pen, cfg)
     _write_matrix(args.out_dict, trace.final_dict.atoms)
     with open(args.out_trace, "w", encoding="utf-8") as fh:
         fh.write("round,objective\n")
         for i, v in enumerate(trace.objectives):
             fh.write(f"{i},{v:.17g}\n")
-    print(f"wrote {args.out_dict} ({X.m}x{d}) and {args.out_trace} ({len(trace.objectives)} rounds)")
+    print(f"wrote {args.out_dict} ({X.m}x{args.d}) and {args.out_trace} ({len(trace.objectives)} rounds)")
     return 0
 
 
@@ -232,14 +209,10 @@ def _cmd_experiment(args) -> int:
         raise OSError(f"--config: cannot read {args.config!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliValidation(f"--config: malformed JSON in {args.config!r}: {exc}") from exc
-    try:
+    with _flags("--config"):
         cfg = experiments.ExperimentConfig.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliValidation(f"--config: {exc}") from exc
-    if args.threads < 0:
-        raise _CliValidation(f"--threads must be >= 0, got {args.threads}")
     os.makedirs(args.out, exist_ok=True)
-    curve = experiments.gap_sweep(cfg, threads=args.threads)
+    curve = experiments.gap_sweep(cfg)
     out_csv = os.path.join(args.out, "gap_curve.csv")
     experiments.export(curve, out_csv)
     print(f"wrote {out_csv} and sidecar; fitted slope {curve.slope:.4f} vs sqrt(log n / n)")

@@ -13,6 +13,7 @@ import numpy as np
 
 TOL_UNIT = 1e-9   # slack for unit-norm atom validation
 TOL_BALL = 1e-12  # slack for unit-ball membership
+_NORM_FLOOR = 1e-154  # below this a column is treated as zero (its square underflows)
 
 __all__ = [
     "TOL_UNIT",
@@ -92,6 +93,25 @@ class Dictionary:
     @property
     def d(self) -> int:
         return self.atoms.shape[1]
+
+
+def _unit_columns(M: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """``M / norms`` with every column at unit l2 norm; a column whose norm is
+    below 1e-154 becomes the standard basis vector e_(j mod m), j its index.
+
+    `norms` defaults to the column norms of M; pass them when they were
+    computed another way. M itself is never modified.
+    """
+    if norms is None:
+        norms = np.linalg.norm(M, axis=0)
+    zero = np.flatnonzero(norms < _NORM_FLOOR)
+    if zero.size:
+        M = M.copy()
+        M[:, zero] = 0.0
+        M[zero % M.shape[0], zero] = 1.0
+        norms = norms.copy()
+        norms[zero] = 1.0
+    return M / norms
 
 
 @dataclass(frozen=True)
@@ -187,6 +207,14 @@ def l1_bound_from_penalty(t: float, pen: Penalty, d: int) -> float:
 
 def _atoms_of(D) -> np.ndarray:
     return D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=float)
+
+
+def _signals_of(X) -> np.ndarray:
+    return X.signals if isinstance(X, SignalSet) else np.asarray(X, dtype=float)
+
+
+def _coeffs_of(A) -> np.ndarray:
+    return A.coeffs if isinstance(A, CoeffMatrix) else np.asarray(A, dtype=float)
 
 
 def dict_distance(D1, D2) -> float:

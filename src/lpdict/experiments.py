@@ -15,13 +15,12 @@ import dataclasses
 import json
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundInputs, full_report
-from .core import Dictionary, Penalty, SignalSet
+from .bounds import BoundInputs, _derived_L, full_report, proof_constants
+from .core import Dictionary, Penalty, SignalSet, _unit_columns
 from .learning import LearnConfig, learn
 from .sparse_coding import SolverConfig, _solve_columns
 
@@ -95,15 +94,7 @@ class DistributionSpec:
 def random_dictionary(m: int, d: int, seed=0) -> Dictionary:
     """Seeded atoms drawn uniformly on each unit sphere."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng([int(seed), 77])
-    M = rng.standard_normal((int(m), int(d)))
-    norms = np.linalg.norm(M, axis=0)
-    bad = norms < 1e-154
-    if bad.any():
-        M[:, bad] = 0.0
-        for j in np.flatnonzero(bad):
-            M[j % int(m), j] = 1.0
-        norms = np.where(bad, 1.0, norms)
-    return Dictionary(M / norms)
+    return Dictionary(_unit_columns(rng.standard_normal((int(m), int(d)))))
 
 
 def planted_dictionary(dist: DistributionSpec) -> Dictionary:
@@ -111,18 +102,6 @@ def planted_dictionary(dist: DistributionSpec) -> Dictionary:
     if dist.kind != "planted-sparse":
         raise ValueError("planted_dictionary needs a planted-sparse spec")
     return random_dictionary(dist.m, dist.dict_d, np.random.default_rng([int(dist.true_dict_seed), _TAG_PLANT]))
-
-
-def _sphere_points(rng, m: int, n: int) -> np.ndarray:
-    M = rng.standard_normal((m, n))
-    norms = np.linalg.norm(M, axis=0)
-    bad = norms < 1e-154
-    if bad.any():
-        M[:, bad] = 0.0
-        for j in np.flatnonzero(bad):
-            M[j % m, j] = 1.0
-        norms = np.where(bad, 1.0, norms)
-    return M / norms
 
 
 def sample(dist: DistributionSpec, n: int) -> SignalSet:
@@ -133,9 +112,9 @@ def sample(dist: DistributionSpec, n: int) -> SignalSet:
     rng = np.random.default_rng([int(dist.seed), n])
     m = int(dist.m)
     if dist.kind == "uniform-sphere":
-        return SignalSet(_sphere_points(rng, m, n))
+        return SignalSet(_unit_columns(rng.standard_normal((m, n))))
     if dist.kind == "uniform-ball":
-        pts = _sphere_points(rng, m, n)
+        pts = _unit_columns(rng.standard_normal((m, n)))
         radii = rng.uniform(size=n) ** (1.0 / m)
         return SignalSet(pts * radii)
     D = planted_dictionary(dist).atoms
@@ -209,8 +188,9 @@ class ExperimentConfig:
             raise ValueError(f"dict_source must be one of {_DICT_SOURCES}, got {self.dict_source!r}")
         if self.dict_source == "planted" and self.dist.kind != "planted-sparse":
             raise ValueError("dict_source='planted' needs a planted-sparse distribution")
-        if float(self.confidence_x) < 0.0:
-            raise ValueError("confidence_x must be nonnegative")
+        L = _derived_L(self.pen, int(self.d))
+        for n in self.n_grid:  # the net radius gap_sweep's bound needs; raises outside (0, 1)
+            proof_constants(n, int(self.dist.m), int(self.d), L, self.confidence_x)
         if int(self.holdout_n) < 10 * max(self.n_grid):
             warnings.warn(
                 f"holdout_n={self.holdout_n} is below the recommended 10*max(n_grid)={10 * max(self.n_grid)}",
@@ -226,14 +206,7 @@ class ExperimentConfig:
             "trials": self.trials,
             "holdout_n": self.holdout_n,
             "dict_source": self.dict_source,
-            "learn": {
-                "outer_iters": self.learn.outer_iters,
-                "dict_step_shrink": self.learn.dict_step_shrink,
-                "dict_grad_tol": self.learn.dict_grad_tol,
-                "init_mode": self.learn.init_mode,
-                "seed": self.learn.seed,
-                "coding": dataclasses.asdict(self.learn.coding),
-            },
+            "learn": dataclasses.asdict(self.learn),
             "confidence_x": self.confidence_x,
         }
 
@@ -328,12 +301,11 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int, eta: float) -> GapRow:
     )
 
 
-def gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> GapCurve:
+def gap_sweep(cfg: ExperimentConfig) -> GapCurve:
     """Estimate the generalization gap over the whole (n_grid x trials) plan.
 
-    Jobs are independent (each derives its own seeds from (master, n,
-    trial)) and may run on a thread pool; aggregation always happens in
-    (n, trial) order, so results do not depend on scheduling.
+    Jobs run in (n, trial) order; each derives its own seeds from (master,
+    n, trial), so a row does not depend on the rows before it.
     """
     etas = {
         n: full_report(
@@ -341,15 +313,7 @@ def gap_sweep(cfg: ExperimentConfig, threads: int = 1) -> GapCurve:
         ).eta
         for n in cfg.n_grid
     }
-    jobs = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    if threads == 0:
-        threads = min(4, os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda job: _run_trial(cfg, job[0], job[1], etas[job[0]]), jobs))
-    else:
-        rows = [_run_trial(cfg, n, t, etas[n]) for n, t in jobs]
-    rows = tuple(rows)
+    rows = tuple(_run_trial(cfg, n, t, etas[n]) for n in cfg.n_grid for t in range(cfg.trials))
     s1, i1, s2, i2 = _fit_rates(rows)
     return GapCurve(rows=rows, slope=s1, intercept=i1, slope_inv_sqrt_n=s2, intercept_inv_sqrt_n=i2, config=cfg)
 

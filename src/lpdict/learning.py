@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CoeffMatrix, Dictionary, Penalty, SignalSet
+from .core import _NORM_FLOOR, CoeffMatrix, Dictionary, Penalty, SignalSet, _coeffs_of, _signals_of, _unit_columns
 from .sparse_coding import SolverConfig, _col_sq, _solve_columns
 
 __all__ = ["LearnConfig", "LearnTrace", "project_atoms", "dict_update", "learn"]
@@ -25,7 +25,6 @@ _INIT_MODES = ("data-atoms", "random-atoms")
 _MAX_INNER_UPDATES = 100
 _EARLY_STOP_REL = 1e-8
 _EARLY_STOP_ROUNDS = 3
-_NORM_FLOOR = 1e-154  # below this a column is treated as zero (its square underflows)
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,12 @@ class LearnTrace:
 def project_atoms(M) -> Dictionary:
     """Scale every column to unit l2 norm; a zero column at index j becomes
     the standard basis vector e_(j mod m)."""
-    M = np.array(M, dtype=float)
+    M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise ValueError("need a 2-D matrix with at least one row and column")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix must be finite")
-    m = M.shape[0]
-    norms = np.linalg.norm(M, axis=0)
-    for j in np.flatnonzero(norms < _NORM_FLOOR):
-        M[:, j] = 0.0
-        M[j % m, j] = 1.0
-        norms[j] = 1.0
-    return Dictionary(M / norms)
+    return Dictionary(_unit_columns(M))
 
 
 def _normalized_or_old(M: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -98,8 +91,8 @@ def dict_update(X, A, D0: Dictionary, cfg: LearnConfig = LearnConfig()) -> Dicti
     constrained iterate), so the full objective at fixed coefficients can
     only go down; the penalty does not depend on the dictionary.
     """
-    Xmat = X.signals if isinstance(X, SignalSet) else np.asarray(X, dtype=float)
-    Amat = A.coeffs if isinstance(A, CoeffMatrix) else np.asarray(A, dtype=float)
+    Xmat = _signals_of(X)
+    Amat = _coeffs_of(A)
     D = D0.atoms.copy()
     if Xmat.shape[1] != Amat.shape[1] or Amat.shape[0] != D.shape[1] or Xmat.shape[0] != D.shape[0]:
         raise ValueError(
@@ -149,17 +142,15 @@ def _revive_dead_atoms(Datoms: np.ndarray, Amat: np.ndarray, Xmat: np.ndarray) -
         return Datoms
     residuals = np.sqrt(_col_sq(Xmat - Datoms @ Amat))
     order = np.argsort(-residuals, kind="stable")
+    src = order[np.arange(dead.size) % order.size]
     D = Datoms.copy()
-    m = D.shape[0]
-    for rank, j in enumerate(dead):
-        src = Xmat[:, order[rank % order.size]]
-        nrm = np.linalg.norm(src)
-        if nrm < _NORM_FLOOR:
-            D[:, j] = 0.0
-            D[int(j) % m, j] = 1.0
-        else:
-            D[:, j] = src / nrm
-    return D
+    D[:, dead] = Xmat[:, src]
+    # live atoms are divided by 1, which leaves them exact; each source is
+    # divided by its vector norm (a dot product), which can differ in the last
+    # bit from the column reduction `_unit_columns` would take
+    norms = np.ones(D.shape[1])
+    norms[dead] = [np.linalg.norm(Xmat[:, i]) for i in src]
+    return _unit_columns(D, norms)
 
 
 def _init_dictionary(Xmat: np.ndarray, m: int, d: int, cfg: LearnConfig) -> Dictionary:

@@ -43,6 +43,9 @@ from .core import (
     Dictionary,
     Penalty,
     SignalSet,
+    _atoms_of,
+    _coeffs_of,
+    _signals_of,
     l1_bound_from_penalty,
     penalty_eval,
 )
@@ -99,14 +102,6 @@ class CodingResult:
     residual_norm: float
     iterations: int
     converged: bool
-
-
-def _atoms_of(D) -> np.ndarray:
-    return D.atoms if isinstance(D, Dictionary) else np.asarray(D, dtype=float)
-
-
-def _signals_of(X) -> np.ndarray:
-    return X.signals if isinstance(X, SignalSet) else np.asarray(X, dtype=float)
 
 
 def _col_sq(M: np.ndarray) -> np.ndarray:
@@ -675,7 +670,7 @@ def batch_objective(X: SignalSet, D: Dictionary, pen: Penalty, cfg: SolverConfig
 def is_eps_near_solution(X: SignalSet, D: Dictionary, A, pen: Penalty, eps: float, oracle_objectives) -> bool:
     """True iff every column's objective is within eps of its trusted optimum."""
     Xmat = _signals_of(X)
-    Amat = A.coeffs if isinstance(A, CoeffMatrix) else np.asarray(A, dtype=float)
+    Amat = _coeffs_of(A)
     oracle = np.asarray(oracle_objectives, dtype=float).ravel()
     if Amat.shape != (D.d, Xmat.shape[1]):
         raise ValueError(f"coefficient matrix shape {Amat.shape} does not match ({D.d}, {Xmat.shape[1]})")

@@ -205,7 +205,7 @@ def envelope_sweep():
         dict_source="random",
         confidence_x=1.0,
     )
-    return gap_sweep(cfg, threads=2)
+    return gap_sweep(cfg)
 
 
 def test_criterion_7_bound_envelope(envelope_sweep, capsys):

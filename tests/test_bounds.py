@@ -164,6 +164,15 @@ class TestEta:
         with pytest.raises(ValueError):
             compute_eta(1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_confidence(self, x):
+        with pytest.raises(ValueError, match="confidence_x"):
+            compute_eta(100, 1.0, x)
+        with pytest.raises(ValueError, match="confidence_x"):
+            proof_constants(10**5, 8, 12, 0.7, x)
+        with pytest.raises(ValueError, match="confidence_x"):
+            BoundInputs(m=8, d=12, pen=Penalty(1, 1, 10), n=100, confidence_x=x)
+
 
 class TestProofConstants:
     def test_identity_holds(self):

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lpdict.cli import run
 
@@ -134,6 +137,16 @@ class TestLearn:
         assert code == 1
         assert "--config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["7", '"abc"'])
+    def test_non_object_config_is_validation(self, capsys, tmp_path, body):
+        data = str(tmp_path / "data.csv")
+        write_matrix(data, np.zeros((2, 3)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        code = run(f"learn --data {data} --d 2 --p 1 --q 1 --lambda 1 --config {cfg}".split())
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --config:")
+
     @pytest.mark.parametrize("coding", [{"bogus": 1}, {"max_iters": 0}])
     def test_invalid_coding_key_is_validation(self, capsys, tmp_path, coding):
         data = str(tmp_path / "data.csv")
@@ -168,7 +181,7 @@ class TestExperiment:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = run(f"experiment --config {cfg_path} --out {out_dir} --threads 1".split())
+            code = run(f"experiment --config {cfg_path} --out {out_dir}".split())
         assert code == 0
         rows = open(out_dir + "/gap_curve.csv").read().strip().split("\n")
         assert rows[0] == "n,trial,train_F,holdout_F,gap,eta"
@@ -179,6 +192,125 @@ class TestExperiment:
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code = run(f"experiment --config {tmp_path}/nope.json --out {tmp_path}".split())
         assert code == 2
+
+    def test_n_grid_without_a_net_radius_is_validation(self, capsys, tmp_path):
+        cfg = {
+            "dist": {"kind": "uniform-sphere", "m": 8, "seed": 7},
+            "pen": {"p": 1, "q": 1, "lambda": 1},
+            "d": 12,
+            "n_grid": [2, 4],
+            "holdout_n": 40,
+        }
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        out_dir = tmp_path / "out"
+        code = run(f"experiment --config {cfg_path} --out {out_dir}".split())
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config: net radius") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+
+_BOUND = "bound --m 8 --d 12 --p 1 --q 1 --lambda 10 --n 1000 --confidence 1"
+_SAMPLESIZE = "samplesize --target-eta 0.5 --m 8 --d 12 --p 1 --q 1 --lambda 10 --confidence 1"
+_CODE = "code --signal {dir}/x.csv --dict {dir}/D.csv --p 1 --q 1 --lambda 2"
+_LEARN = "learn --data {dir}/X.csv --d 2 --p 1 --q 1 --lambda 2 --out-dict {dir}/o.csv --out-trace {dir}/t.csv"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (f"{_BOUND} --m 0", "--m"),
+        (f"{_BOUND} --d 0", "--d"),
+        (f"{_BOUND} --n 0", "--n"),
+        (f"{_BOUND} --p -1", "--p"),
+        (f"{_BOUND} --lambda nan", "--lambda"),
+        (f"{_BOUND} --confidence -1", "--confidence"),
+        (f"{_BOUND} --confidence nan", "--confidence"),
+        (f"{_BOUND} --confidence inf", "--confidence"),
+        (f"{_BOUND} --L 0", "--L"),
+        (f"{_BOUND} --L nan", "--L"),
+        (f"{_BOUND} --L inf", "--L"),
+        (f"{_SAMPLESIZE} --m 0", "--m"),
+        (f"{_SAMPLESIZE} --d 0", "--d"),
+        (f"{_SAMPLESIZE} --confidence -1", "--confidence"),
+        (f"{_SAMPLESIZE} --confidence nan", "--confidence"),
+        (f"{_SAMPLESIZE} --confidence inf", "--confidence"),
+        (f"{_SAMPLESIZE} --L 0", "--L"),
+        (f"{_SAMPLESIZE} --L nan", "--L"),
+        (f"{_SAMPLESIZE} --L inf", "--L"),
+        (f"{_SAMPLESIZE} --target-eta -2", "--target-eta"),
+        (f"{_SAMPLESIZE} --target-eta nan", "--target-eta"),
+        (f"{_CODE} --max-iters 0", "--max-iters"),
+        (f"{_CODE} --restarts 0", "--restarts"),
+        (f"{_CODE} --seed -1", "--seed"),
+        (f"{_CODE} --lambda nan", "--lambda"),
+        (f"{_LEARN} --d 0", "--d"),
+        (f"{_LEARN} --seed -1", "--seed"),
+        (f"{_LEARN} --p -1", "--p"),
+    ],
+)
+def test_invalid_flag_value_is_one_line_naming_the_flag(argv, flag, capsys, tmp_path):
+    write_matrix(tmp_path / "x.csv", [[0.5], [0.1]])
+    write_matrix(tmp_path / "D.csv", np.eye(2))
+    write_matrix(tmp_path / "X.csv", [[0.5, 0.1, 0.2], [0.1, 0.3, 0.1]])
+    code = run(argv.format(dir=tmp_path).split())
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err.split(": ")[1].split(", ")
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_NUMERIC_FLAGS = {
+    "bound": ("--m", "--d", "--n", "--p", "--q", "--lambda", "--confidence", "--L"),
+    "samplesize": ("--target-eta", "--m", "--d", "--p", "--q", "--lambda", "--confidence", "--L"),
+}
+_plain = {  # values each command accepts
+    "--m": st.integers(1, 40),
+    "--d": st.integers(1, 40),
+    "--n": st.integers(2, 10**7),
+    "--p": st.floats(0.2, 4.0),
+    "--q": st.floats(0.2, 4.0),
+    "--lambda": st.floats(0.1, 50.0),
+    "--confidence": st.floats(0.0, 10.0),
+    "--L": st.floats(0.05, 50.0),
+    "--target-eta": st.floats(0.01, 10.0),
+}
+_wild = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 1e-300, 1e300, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**400), 10**400),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(sorted(_NUMERIC_FLAGS)),
+    plain=st.fixed_dictionaries(_plain),
+    wild=st.dictionaries(st.sampled_from(sorted(_plain)), _wild, max_size=2),
+    with_L=st.booleans(),
+)
+def test_numeric_flags_fuzz(command, plain, wild, with_L, capsys):
+    values = {**plain, **wild}
+    argv = [command]
+    for flag in _NUMERIC_FLAGS[command]:
+        if flag != "--L" or with_L or flag in wild:
+            argv += [flag, repr(values[flag])]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        _strict_json(out)
+    else:
+        assert err.startswith("error: ")
 
 
 class TestCheck:

@@ -11,6 +11,7 @@ from lpdict.core import (
     Dictionary,
     Penalty,
     SignalSet,
+    _unit_columns,
     dict_distance,
     l1_bound_from_penalty,
     l1_factor,
@@ -125,6 +126,21 @@ class TestL1BoundFromPenalty:
 def _random_dictionary(rng, m, d):
     M = rng.standard_normal((m, d))
     return Dictionary(M / np.linalg.norm(M, axis=0))
+
+
+class TestUnitColumns:
+    def test_scales_columns_and_replaces_zero_ones(self):
+        M = np.array([[3.0, 0.0, 0.0, 1e-160], [4.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]])
+        kept = M.copy()
+        U = _unit_columns(M)
+        # columns 1 and 3 count as zero and become e_(1 mod 3) and e_(3 mod 3)
+        assert np.array_equal(U, [[0.6, 0.0, 0.0, 1.0], [0.8, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        assert np.array_equal(M, kept)
+
+    def test_given_norms_are_used(self):
+        M = np.array([[2.0, 0.0], [0.0, 5.0]])
+        U = _unit_columns(M, np.array([4.0, 0.0]))
+        assert np.array_equal(U, [[0.5, 0.0], [0.0, 1.0]])
 
 
 class TestDictDistance:

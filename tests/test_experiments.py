@@ -161,12 +161,6 @@ class TestGapSweep:
         curve = gap_sweep(cfg)
         assert len(curve.rows) == 1
 
-    def test_threaded_matches_sequential(self):
-        cfg = tiny_config()
-        seq = gap_sweep(cfg, threads=1)
-        par = gap_sweep(cfg, threads=3)
-        assert seq == dataclasses.replace(par)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tiny_config(n_grid=())
@@ -174,6 +168,8 @@ class TestGapSweep:
             tiny_config(n_grid=(32, 16))
         with pytest.raises(ValueError):
             tiny_config(dict_source="planted")  # needs planted-sparse dist
+        with pytest.raises(ValueError, match="net radius"):  # about 3 for n = 2 at m=8, d=12
+            tiny_config(dist=DistributionSpec(kind="uniform-sphere", m=8), d=12, pen=Penalty(1, 1, 1), n_grid=(2, 4))
 
     def test_holdout_warning(self):
         with pytest.warns(UserWarning, match="holdout_n"):

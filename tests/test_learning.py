@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lpdict.core import CoeffMatrix, Dictionary, Penalty, SignalSet
-from lpdict.learning import LearnConfig, LearnTrace, dict_update, learn, project_atoms
+from lpdict.learning import LearnConfig, LearnTrace, _revive_dead_atoms, dict_update, learn, project_atoms
 from lpdict.sparse_coding import SolverConfig, batch_objective, objective
 
 
@@ -42,6 +42,27 @@ class TestProjectAtoms:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             project_atoms(np.array([[np.inf], [0.0]]))
+
+
+class TestReviveDeadAtoms:
+    def test_zero_worst_coded_signal_gives_basis_atom(self):
+        # atoms 1 and 5 are unused and every signal is zero, so each revived
+        # atom is the basis vector of its own index, e_(j mod m)
+        D0 = project_atoms(np.random.default_rng(2).standard_normal((3, 6))).atoms
+        A = np.zeros((6, 2))
+        A[[0, 2, 3, 4], :] = 0.5
+        D = _revive_dead_atoms(D0, A, np.zeros((3, 2)))
+        assert np.array_equal(D[:, 1], [0.0, 1.0, 0.0])  # e_(1 mod 3)
+        assert np.array_equal(D[:, 5], [0.0, 0.0, 1.0])  # e_(5 mod 3)
+        assert np.array_equal(D[:, [0, 2, 3, 4]], D0[:, [0, 2, 3, 4]])
+
+    def test_revived_atom_is_its_normalized_signal(self):
+        D0 = np.eye(2)
+        A = np.array([[0.5], [0.0]])
+        X = np.array([[0.0], [0.6]])
+        D = _revive_dead_atoms(D0, A, X)
+        assert np.array_equal(D[:, 1], [0.0, 1.0])
+        assert np.array_equal(D[:, 0], [1.0, 0.0])
 
 
 class TestDictUpdate:
