@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Penalty, SignalSet, _signals_of, l1_factor
+from .core import Penalty, SignalSet, _count_as_float, _signals_of, l1_factor
 
 __all__ = [
     "BoundInputs",
@@ -140,7 +140,7 @@ def compute_beta(m: int, d: int, L: float) -> float:
         raise ValueError(f"L must be a positive finite real, got {L!r}")
     if int(m) < 1 or int(d) < 1:
         raise ValueError("m and d must be positive integers")
-    return (m * d / 8.0) * max(math.log(6.0 * _SQRT8 * L), 1.0)
+    return (_count_as_float(m * d, "m*d") / 8.0) * max(math.log(6.0 * _SQRT8 * L), 1.0)
 
 
 def compute_eta(n: int, beta: float, confidence_x: float) -> float:
@@ -152,11 +152,12 @@ def compute_eta(n: int, beta: float, confidence_x: float) -> float:
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    nf = _count_as_float(n, "n")
     beta = float(beta)
     x = _confidence(confidence_x)
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    return 2.0 * math.sqrt(beta * math.log(n) / n) + math.sqrt((beta + x / _SQRT8) / n)
+    return 2.0 * math.sqrt(beta * math.log(nf) / nf) + math.sqrt((beta + x / _SQRT8) / nf)
 
 
 def proof_constants(n: int, m: int, d: int, L: float, confidence_x: float):

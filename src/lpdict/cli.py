@@ -53,6 +53,16 @@ def _read_matrix(path: str, flag: str) -> np.ndarray:
     return M
 
 
+def _read_json(path: str, flag: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise OSError(f"{flag}: cannot read {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise _CliValidation(f"{flag}: malformed JSON in {path!r}: {exc}") from exc
+
+
 @contextmanager
 def _flags(*names: str):
     """Blame a rejection by the core types inside the block on the flags that
@@ -176,15 +186,7 @@ def _cmd_learn(args) -> int:
     pen = _penalty_from(args)
     with _flags("--data"):
         X = SignalSet(_read_matrix(args.data, "--data"))
-    overrides = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except OSError as exc:
-            raise OSError(f"--config: cannot read {args.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise _CliValidation(f"--config: malformed JSON in {args.config!r}: {exc}") from exc
+    overrides = _read_json(args.config, "--config") if args.config else {}
     with _flags("--config"):
         overrides = dict(overrides)  # a JSON scalar has no keys
         coding = sparse_coding.SolverConfig(**overrides.pop("coding", {}))
@@ -202,13 +204,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise OSError(f"--config: cannot read {args.config!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _CliValidation(f"--config: malformed JSON in {args.config!r}: {exc}") from exc
+    raw = _read_json(args.config, "--config")
     with _flags("--config"):
         cfg = experiments.ExperimentConfig.from_dict(raw)
     os.makedirs(args.out, exist_ok=True)

@@ -181,6 +181,14 @@ def penalty_eval(v, pen: Penalty) -> float:
     return float((lp_norm(v, pen.p) / pen.lam) ** pen.q)
 
 
+def _count_as_float(k, name: str) -> float:
+    """``float(k)``, with a ValueError naming k in place of an OverflowError."""
+    try:
+        return float(k)
+    except OverflowError:
+        raise ValueError(f"{name} is too large to convert to a float") from None
+
+
 def l1_factor(p: float, d: int) -> float:
     """``d ** max(1 - 1/p, 0)``: the constant with ``||v||_1 <= factor * ||v||_p``.
 
@@ -192,7 +200,7 @@ def l1_factor(p: float, d: int) -> float:
     d = int(d)
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
-    return float(d) ** max(1.0 - 1.0 / p, 0.0)
+    return _count_as_float(d, "d") ** max(1.0 - 1.0 / p, 0.0)
 
 
 def l1_bound_from_penalty(t: float, pen: Penalty, d: int) -> float:

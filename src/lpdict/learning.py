@@ -25,13 +25,13 @@ _INIT_MODES = ("data-atoms", "random-atoms")
 _MAX_INNER_UPDATES = 100
 _EARLY_STOP_REL = 1e-8
 _EARLY_STOP_ROUNDS = 3
+_DICT_STEP_SHRINK = 0.5  # Armijo backtracking factor of `dict_update`
+_DICT_GRAD_TOL = 1e-8  # `dict_update` stops once the Riemannian gradient norm is this small
 
 
 @dataclass(frozen=True)
 class LearnConfig:
     outer_iters: int = 50
-    dict_step_shrink: float = 0.5
-    dict_grad_tol: float = 1e-8
     init_mode: str = "data-atoms"
     seed: int = 0
     coding: SolverConfig = field(default_factory=SolverConfig)
@@ -39,10 +39,6 @@ class LearnConfig:
     def __post_init__(self):
         if int(self.outer_iters) < 1:
             raise ValueError("outer_iters must be >= 1")
-        if not 0.0 < self.dict_step_shrink < 1.0:
-            raise ValueError("dict_step_shrink must lie in (0, 1)")
-        if self.dict_grad_tol <= 0.0:
-            raise ValueError("dict_grad_tol must be positive")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}, got {self.init_mode!r}")
         if int(self.seed) < 0:
@@ -84,7 +80,7 @@ def _fit_value(Xmat, Datoms, Amat) -> float:
     return 0.5 * float(np.sum(R * R)) / Xmat.shape[1]
 
 
-def dict_update(X, A, D0: Dictionary, cfg: LearnConfig = LearnConfig()) -> Dictionary:
+def dict_update(X, A, D0: Dictionary) -> Dictionary:
     """Projected gradient descent on the fit term with atoms kept unit-norm.
 
     Accepts a step only when it decreases the fit (Armijo test on the
@@ -113,7 +109,7 @@ def dict_update(X, A, D0: Dictionary, cfg: LearnConfig = LearnConfig()) -> Dicti
         egrad = -(R @ Amat.T) / n
         rgrad = egrad - D * np.sum(D * egrad, axis=0)  # tangent to each sphere
         gn2 = float(np.sum(rgrad * rgrad))
-        if np.sqrt(gn2) <= cfg.dict_grad_tol:
+        if np.sqrt(gn2) <= _DICT_GRAD_TOL:
             break
         step = min(step * 2.0, 1e12)
         accepted = False
@@ -123,7 +119,7 @@ def dict_update(X, A, D0: Dictionary, cfg: LearnConfig = LearnConfig()) -> Dicti
             if fc <= f - 1e-4 * step * gn2:
                 accepted = True
                 break
-            step *= cfg.dict_step_shrink
+            step *= _DICT_STEP_SHRINK
         if not accepted:
             break
         D, f = cand, fc
@@ -185,6 +181,6 @@ def learn(X: SignalSet, m: int, d: int, pen: Penalty, cfg: LearnConfig = LearnCo
             ]
             if all(r < _EARLY_STOP_REL for r in drops):
                 break
-        D = dict_update(Xmat, A, D, cfg)
+        D = dict_update(Xmat, A, D)
         D = Dictionary(_revive_dead_atoms(D.atoms, A, Xmat))
     return LearnTrace(tuple(objectives), D, CoeffMatrix(A))

@@ -3,8 +3,9 @@
 Solves ``min_a 0.5*||x - D a||^2 + g(a)`` with ``g(a) = ||a/lam||_p^q`` for
 one signal or a whole column-stacked batch.
 
-Solver routes: one batched proximal-gradient loop with backtracking codes
-every (p, q), with a prox for each shape of penalty:
+Solver routes: one batched proximal-gradient loop with the fixed step 1/L,
+``L = lambda_max(D^T D)``, codes every (p, q), with a prox for each shape of
+penalty:
 
 * q == p: the penalty is coordinate-separable. The 1-D prox has closed forms
   for p in {1/2, 1, 3/2, 2} (half thresholding for p = 1/2, Xu et al. 2012;
@@ -61,7 +62,7 @@ __all__ = [
     "grid_resolution_error",
 ]
 
-_MAX_BACKTRACKS = 60
+_GRAD_TOL = 1e-10  # convex stop on the gradient mapping: ||Z - Y|| / step <= _GRAD_TOL * max(1, ||Z||)
 _BISECT_ITERS = 60
 _SEARCH_STEPS = 60  # multiplier search: Newton steps, each falling back to bisection
 _SEARCH_TOL = 1e-12  # on log(mu*S^(1-r)/(t*r)), i.e. on the relative error of mu
@@ -71,11 +72,9 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the iterative coder; defaults suit unit-ball signals."""
+    """Settings of the iterative coder (its step is always 1/L); defaults suit unit-ball signals."""
 
     max_iters: int = 5000
-    step_shrink: float = 0.5
-    grad_tol: float = 1e-10
     obj_tol: float = 1e-8
     restarts: int = 5
     seed: int = 0
@@ -83,10 +82,8 @@ class SolverConfig:
     def __post_init__(self):
         if int(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.grad_tol <= 0.0 or self.obj_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.obj_tol <= 0.0:
+            raise ValueError("obj_tol must be positive")
         if int(self.restarts) < 1:
             raise ValueError("restarts must be >= 1")
         if int(self.seed) < 0:
@@ -419,19 +416,22 @@ def _duality_gap(A, v, fit, pen_a, pen: Penalty) -> np.ndarray:
 
 
 def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
-    """Monotone FISTA over all columns, with per-column steps and restarts.
+    """Monotone FISTA over all columns, with per-column restarts.
 
-    Each column carries its own step, momentum ``t`` and extrapolated point
-    ``Y``. The products ``G @ A`` and ``G @ Y`` travel with the iterates, so
-    an iteration costs one Gram product (plus one per backtrack) and nothing
+    Every live column steps by ``1/L``, ``L = lambda_max(G)``: the fit is
+    the quadratic ``0.5*a'Ga - h'a + base``, so L is the exact Lipschitz
+    constant of its gradient and the step needs no line search (Beck and
+    Teboulle 2009). Each column carries its own momentum ``t`` and
+    extrapolated point ``Y``. The products ``G @ A`` and ``G @ Y`` travel
+    with the iterates, so an iteration costs one Gram product and nothing
     that grows with the signal dimension. A step that would raise a column's
     objective is dropped and restarts its momentum (``t = 1``, ``Y = A``);
     the column retires when such a plain step still fails to descend.
 
     Convex routes (p, q >= 1) retire a column once its duality gap is at
     most ``obj_tol * max(1, F)``, or once its gradient mapping passes the
-    `grad_tol` test. Nonconvex routes (p < 1 or q < 1) run without momentum
-    and retire on a small gain or a small move.
+    `_GRAD_TOL` test. Nonconvex routes (p < 1 or q < 1) run without
+    momentum and retire on a small gain or a small move.
 
     A retired column gets step 0 and no momentum, which freezes it in the
     working arrays until they are compacted; compaction waits until enough
@@ -460,28 +460,18 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
     tw = np.ones(n)
 
     for it in range(1, int(cfg.max_iters) + 1):
-        for _bt in range(_MAX_BACKTRACKS):
-            Z = GY - hw  # the gradient at Y, turned into the forward step in place
-            Z *= -sw
-            Z += Y
-            Z = _prox_step(Z, sw, pen, Y)
-            pZ = _penalty_cols(Z, pen)
-            delta = Z - Y
-            GZ = G @ Z
-            dd = _col_sq(delta)
-            # the fit is quadratic, so sufficient decrease from Y is exactly
-            # delta' G delta <= ||delta||^2 / step
-            curv = np.einsum("ij,ij->j", delta, GZ) - np.einsum("ij,ij->j", delta, GY)
-            del delta
-            bad = sw * curv - dd > 2e-12 * sw
-            if not bad.any():
-                break
-            sw = np.where(bad, sw * cfg.step_shrink, sw)
-        del Y, GY, curv, bad
+        Z = GY - hw  # the gradient at Y, turned into the forward step in place
+        Z *= -sw
+        Z += Y
+        Z = _prox_step(Z, sw, pen, Y)
+        pZ = _penalty_cols(Z, pen)
+        dd = _col_sq(Z - Y)
+        GZ = G @ Z
+        del Y, GY
         fZ = _fit_cols(Z, GZ, hw, bw)
         FA, FZ = fA + pA, fZ + pZ
         rise = FZ > FA
-        small_move = dd <= (cfg.grad_tol * sw) ** 2 * np.maximum(1.0, _col_sq(Z))
+        small_move = dd <= (_GRAD_TOL * sw) ** 2 * np.maximum(1.0, _col_sq(Z))
         if convex:
             # Z near-stationary bounds F(Z) - F*, and a rise keeps the better
             # A; a rise after a plain step is float noise at the optimum
@@ -633,7 +623,7 @@ def sparse_code(x, D: Dictionary, pen: Penalty, cfg: SolverConfig = SolverConfig
     For convex pairs (p, q >= 1) a converged result is within
     ``cfg.obj_tol * max(1, F)`` of the infimum, certified by a duality gap;
     it stops short of that certificate only where the gradient mapping is
-    already below `cfg.grad_tol` or a plain step no longer descends in
+    already below `_GRAD_TOL` or a plain step no longer descends in
     floating point. For nonconvex pairs the result is the best of
     `cfg.restarts` deterministic starts, each run to a stationary point.
     """

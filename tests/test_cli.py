@@ -147,7 +147,7 @@ class TestLearn:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --config:")
 
-    @pytest.mark.parametrize("coding", [{"bogus": 1}, {"max_iters": 0}])
+    @pytest.mark.parametrize("coding", [{"bogus": 1}, {"max_iters": 0}, {"step_shrink": 0.5}, {"grad_tol": 1e-10}])
     def test_invalid_coding_key_is_validation(self, capsys, tmp_path, coding):
         data = str(tmp_path / "data.csv")
         write_matrix(data, np.zeros((2, 3)))
@@ -249,13 +249,18 @@ _LEARN = "learn --data {dir}/X.csv --d 2 --p 1 --q 1 --lambda 2 --out-dict {dir}
         (f"{_LEARN} --d 0", "--d"),
         (f"{_LEARN} --seed -1", "--seed"),
         (f"{_LEARN} --p -1", "--p"),
+        (f"{_BOUND} --m {{big}}", "--m"),
+        (f"{_BOUND} --d {{big}}", "--d"),
+        (f"{_BOUND} --n {{big}}", "--n"),
+        (f"{_SAMPLESIZE} --m {{big}}", "--m"),
+        (f"{_SAMPLESIZE} --d {{big}}", "--d"),
     ],
 )
 def test_invalid_flag_value_is_one_line_naming_the_flag(argv, flag, capsys, tmp_path):
     write_matrix(tmp_path / "x.csv", [[0.5], [0.1]])
     write_matrix(tmp_path / "D.csv", np.eye(2))
     write_matrix(tmp_path / "X.csv", [[0.5, 0.1, 0.2], [0.1, 0.3, 0.1]])
-    code = run(argv.format(dir=tmp_path).split())
+    code = run(argv.format(dir=tmp_path, big=10**400).split())  # {big}: beyond float range
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -267,13 +267,25 @@ class TestExport:
         with pytest.raises(ValueError, match=key):
             load_curve(path)
 
-    def test_load_rejects_config_echo_that_does_not_rebuild(self, tmp_path):
+    # fields this version lacks; earlier versions wrote them into the echo
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("coding", "smoothing_eps", 1e-6),
+            ("coding", "step_shrink", 0.5),
+            ("coding", "grad_tol", 1e-10),
+            ("learn", "dict_step_shrink", 0.5),
+            ("learn", "dict_grad_tol", 1e-8),
+        ],
+    )
+    def test_load_rejects_config_echo_that_does_not_rebuild(self, tmp_path, block, key, value):
         path = str(tmp_path / "curve.csv")
         export(gap_sweep(tiny_config(n_grid=(16,), trials=1)), path)
         side = str(tmp_path / "curve.json")
         with open(side) as fh:
             sidecar = json.load(fh)
-        sidecar["config"]["learn"]["coding"]["smoothing_eps"] = 1e-6  # a field this version lacks
+        learn = sidecar["config"]["learn"]
+        (learn["coding"] if block == "coding" else learn)[key] = value
         with open(side, "w") as fh:
             json.dump(sidecar, fh)
         with pytest.raises(ValueError, match="curve.csv"):

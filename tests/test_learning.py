@@ -71,7 +71,7 @@ class TestDictUpdate:
         M = rng.standard_normal((4, 3))
         D0 = Dictionary(M / np.linalg.norm(M, axis=0))
         X = unit_ball_signals(rng, 4, 5)
-        D1 = dict_update(X, np.zeros((3, 5)), D0, fast_cfg())
+        D1 = dict_update(X, np.zeros((3, 5)), D0)
         assert np.array_equal(D1.atoms, D0.atoms)
 
     def test_exact_factorization_is_stationary(self):
@@ -82,7 +82,7 @@ class TestDictUpdate:
         X = D0.atoms @ A
         X = X / max(1.0, np.linalg.norm(X, axis=0).max())  # keep in ball
         A = A / max(1.0, np.linalg.norm(D0.atoms @ A, axis=0).max())
-        D1 = dict_update(X, A, D0, fast_cfg())
+        D1 = dict_update(X, A, D0)
         assert np.allclose(D1.atoms, D0.atoms, atol=1e-8)
 
     def test_single_step_decreases_fit(self):
@@ -92,7 +92,7 @@ class TestDictUpdate:
         X = np.array([[1.0], [0.0]])
         A = np.array([[1.0]])
         before = 0.5 * np.sum((X - D0.atoms @ A) ** 2)
-        D1 = dict_update(X, A, D0, fast_cfg())
+        D1 = dict_update(X, A, D0)
         after = 0.5 * np.sum((X - D1.atoms @ A) ** 2)
         assert after < before
         assert D1.atoms[0, 0] > 0.5  # moved most of the way toward e_1
@@ -107,14 +107,14 @@ class TestDictUpdate:
             X = unit_ball_signals(rng, m, n)
             A = rng.standard_normal((d, n)) * 0.2
             before = empirical_objective(X, D0, CoeffMatrix(A), pen)
-            D1 = dict_update(X, A, D0, fast_cfg())
+            D1 = dict_update(X, A, D0)
             after = empirical_objective(X, D1, CoeffMatrix(A), pen)
             assert after <= before + 1e-10
 
     def test_shape_mismatch(self):
         D0 = Dictionary(np.eye(3))
         with pytest.raises(ValueError):
-            dict_update(np.zeros((3, 4)), np.zeros((2, 4)), D0, fast_cfg())
+            dict_update(np.zeros((3, 4)), np.zeros((2, 4)), D0)
 
 
 class TestLearn:
@@ -188,5 +188,3 @@ class TestLearn:
             LearnConfig(outer_iters=0)
         with pytest.raises(ValueError):
             LearnConfig(init_mode="bogus")
-        with pytest.raises(ValueError):
-            LearnConfig(dict_step_shrink=1.5)

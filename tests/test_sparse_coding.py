@@ -113,8 +113,6 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.max_iters == 5000
-        assert cfg.step_shrink == 0.5
-        assert cfg.grad_tol == 1e-10
         assert cfg.obj_tol == 1e-8
         assert cfg.restarts == 5
 
@@ -122,13 +120,9 @@ class TestSolverConfig:
         "kw",
         [
             {"max_iters": 0},
-            {"step_shrink": 0.0},
-            {"step_shrink": 1.0},
-            {"grad_tol": -1e-3},
             {"obj_tol": 0.0},
             {"restarts": 0},
             {"seed": -1},
-            {"grad_tol": 0.0},
         ],
     )
     def test_validation(self, kw):
