@@ -11,6 +11,7 @@ its CSV byte-for-byte.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -44,6 +45,7 @@ _DICT_SOURCES = ("learned", "random", "planted")
 # integer stream tags for child-seed derivation
 _TAG_TRAIN, _TAG_DICT, _TAG_HOLDOUT, _TAG_LEARN, _TAG_PLANT = 1, 2, 3, 4, 5
 _CSV_HEADER = "n,trial,train_F,holdout_F,gap,eta"
+_PARTIAL = ".partial"  # suffix of the temporary files `export` renames into place
 
 
 def _derive_seed(*parts: int) -> int:
@@ -323,37 +325,53 @@ def _sidecar_path(path: str) -> str:
     return stem + ".json"
 
 
+def _write_beside(target: str, text: str) -> None:
+    """Write text to `target` + `_PARTIAL` and flush it to disk."""
+    with open(target + _PARTIAL, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def export(curve: GapCurve, path: str) -> None:
     """Write the curve as CSV (17 significant digits) plus a JSON sidecar
-    holding the fit, the config echo, seeds, and per-row extras."""
+    holding the fit, the config echo, seeds, and per-row extras.
+
+    Both files are first written in full to temporary files in the target
+    directory and only then renamed over the targets, so a failed or
+    interrupted write leaves an earlier pair as it was; the pair is out of
+    step only between the two renames.
+    """
+    lines = [_CSV_HEADER] + [
+        f"{r.n},{r.trial},{r.train_F:.17g},{r.holdout_F:.17g},{r.gap:.17g},{r.eta:.17g}" for r in curve.rows
+    ]
+    sidecar = {
+        "fit": {
+            "slope": curve.slope,
+            "intercept": curve.intercept,
+            "slope_inv_sqrt_n": curve.slope_inv_sqrt_n,
+            "intercept_inv_sqrt_n": curve.intercept_inv_sqrt_n,
+        },
+        "config": curve.config.to_dict() if curve.config is not None else None,
+        "seeds": {
+            "master": curve.config.dist.seed if curve.config is not None else None,
+            "derivation": "SeedSequence([master, n, trial, tag]); tags: train=1, dict=2, holdout=3, learn=4",
+        },
+        "rows_extra": {
+            "holdout_std_error": [r.holdout_std_error for r in curve.rows],
+            "converged": [r.converged for r in curve.rows],
+        },
+    }
+    outputs = ((path, "\n".join(lines) + "\n"), (_sidecar_path(path), json.dumps(sidecar, indent=2) + "\n"))
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for r in curve.rows:
-                fh.write(
-                    f"{r.n},{r.trial},{r.train_F:.17g},{r.holdout_F:.17g},{r.gap:.17g},{r.eta:.17g}\n"
-                )
-        sidecar = {
-            "fit": {
-                "slope": curve.slope,
-                "intercept": curve.intercept,
-                "slope_inv_sqrt_n": curve.slope_inv_sqrt_n,
-                "intercept_inv_sqrt_n": curve.intercept_inv_sqrt_n,
-            },
-            "config": curve.config.to_dict() if curve.config is not None else None,
-            "seeds": {
-                "master": curve.config.dist.seed if curve.config is not None else None,
-                "derivation": "SeedSequence([master, n, trial, tag]); tags: train=1, dict=2, holdout=3, learn=4",
-            },
-            "rows_extra": {
-                "holdout_std_error": [r.holdout_std_error for r in curve.rows],
-                "converged": [r.converged for r in curve.rows],
-            },
-        }
-        with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        for target, text in outputs:
+            _write_beside(target, text)
+        for target, _text in outputs:
+            os.replace(target + _PARTIAL, target)
     except OSError as exc:
+        for target, _text in outputs:
+            with contextlib.suppress(OSError):
+                os.remove(target + _PARTIAL)
         raise OSError(f"failed writing gap curve to {path!r}: {exc}") from exc
 
 

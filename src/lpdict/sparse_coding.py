@@ -24,7 +24,13 @@ penalty:
 Convex pairs (p, q >= 1) run monotone FISTA with per-column adaptive restart
 and stop a column on a duality-gap certificate: the gap between its
 objective and the dual value at its scaled residual is at most
-``obj_tol * max(1, F)``. Nonconvex pairs (p < 1 or q < 1) run the loop
+``obj_tol * max(1, F)``. For p = 1 with q in {1, 2} the loop also tries an
+exact finish at a few fixed iterations (`_FINISH_AT`): it solves each live
+column's reduced KKT system on the iterate's sign pattern, the manifold that
+proximal gradient identifies (Bareilles, Iutzeler and Malick 2022; the
+working sets of Massias, Gramfort and Salmon 2018), and retires the column
+with that point when the point keeps the signs, passes the same gap test and
+does not raise F. Nonconvex pairs (p < 1 or q < 1) run the loop
 without momentum, stop on a small gain or a small move, and get
 deterministic multi-start; all starts of a call are solved together, as
 blocks of columns of one loop. Every path ends with an explicit comparison
@@ -63,6 +69,8 @@ __all__ = [
 ]
 
 _GRAD_TOL = 1e-10  # convex stop on the gradient mapping: ||Z - Y|| / step <= _GRAD_TOL * max(1, ||Z||)
+_FINISH_AT = (10, 20, 30, 50, 80, 130, 200)  # iterations at which p = 1, q in {1, 2} try the exact finish
+_FINISH_CHUNK = 256  # columns per stacked (chunk, d, d) solve of the finish
 _BISECT_ITERS = 60
 _SEARCH_STEPS = 60  # multiplier search: Newton steps, each falling back to bisection
 _SEARCH_TOL = 1e-12  # on log(mu*S^(1-r)/(t*r)), i.e. on the relative error of mu
@@ -141,46 +149,17 @@ def _penalty_cols(A: np.ndarray, pen: Penalty) -> np.ndarray:
 # proximal operators
 
 
-def _prox_power_scalar(z: float, s: float, p: float) -> float:
-    """Global minimizer of ``0.5*(a - z)^2 + s*|a|^p`` for one scalar."""
-    if s == 0.0 or z == 0.0:
-        return z
-    y = abs(z)
-    sign = 1.0 if z > 0 else -1.0
-    if p > 1.0:
-        # psi(a) = a - y + s*p*a^(p-1) is increasing with a root in (0, y)
-        lo, hi = 0.0, y
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if mid - y + s * p * mid ** (p - 1.0) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return sign * 0.5 * (lo + hi)
-    # p < 1: either 0 or the larger root of psi on [a_c, y], whichever is cheaper
-    a_c = (s * p * (1.0 - p)) ** (1.0 / (2.0 - p))
-    if a_c >= y or a_c - y + s * p * a_c ** (p - 1.0) >= 0.0:
-        return 0.0
-    lo, hi = a_c, y
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid - y + s * p * mid ** (p - 1.0) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    root = 0.5 * (lo + hi)
-    if 0.5 * (root - y) ** 2 + s * root**p < 0.5 * y * y:
-        return sign * root
-    return 0.0
-
-
 def _prox_magnitude(y: np.ndarray, s, p: float) -> np.ndarray:
-    """`_prox_power_scalar` on every magnitude ``y >= 0`` at once; s broadcasts.
+    """Global minimizer of ``0.5*(a - y)^2 + s*a^p`` over ``a >= 0`` for every
+    magnitude ``y >= 0`` at once; s broadcasts.
 
     Closed forms for p in {1/2, 1, 3/2, 2}: half thresholding for p = 1/2
     (Xu et al. 2012) and a quadratic in ``sqrt(a)`` for p = 3/2. Other
-    exponents bisect on the stationarity equation as the scalar version does.
-    An infinite weight gives 0, a zero weight returns y unchanged.
+    exponents bisect on the stationarity equation
+    ``psi(a) = a - y + s*p*a^(p-1)``: for p > 1 on ``(0, y)``, where psi
+    increases; for p < 1 on ``[a_c, y]`` above its minimum
+    ``a_c = (s*p*(1-p))^(1/(2-p))``, keeping the root only where it beats
+    a = 0. An infinite weight gives 0, a zero weight returns y unchanged.
     """
     s = np.asarray(s, dtype=float)
     if p == 1.0:
@@ -231,7 +210,8 @@ def _prox_magnitude(y: np.ndarray, s, p: float) -> np.ndarray:
 
 
 def _prox_power_vector(Z: np.ndarray, s, p: float) -> np.ndarray:
-    """Vectorized version of `_prox_power_scalar`; s broadcasts over Z."""
+    """Elementwise prox of ``s*|.|^p``: the sign of Z times `_prox_magnitude`
+    of ``|Z|``; s broadcasts over Z."""
     return np.copysign(_prox_magnitude(np.abs(Z), s, p), Z)
 
 
@@ -381,10 +361,11 @@ def _prox_step(Z: np.ndarray, steps, pen: Penalty, Y: np.ndarray) -> np.ndarray:
 # proximal-gradient batch solver
 
 
-def _top_eigenvalue(G: np.ndarray) -> float:
-    if G.shape[0] == 1:
-        return float(G[0, 0])
-    return float(np.linalg.eigvalsh(G)[-1])
+def _gram_spectrum(G: np.ndarray) -> tuple[float, int]:
+    """Largest eigenvalue of the Gram matrix G and its numerical rank, counted
+    with the default threshold of `np.linalg.matrix_rank`, ``top * d * eps``."""
+    w = np.linalg.eigvalsh(G)
+    return float(w[-1]), int(np.count_nonzero(w > w[-1] * G.shape[0] * _EPS))
 
 
 def _fit_cols(B, GB, hb, bb):
@@ -415,6 +396,60 @@ def _duality_gap(A, v, fit, pen_a, pen: Penalty) -> np.ndarray:
     return pen_a - c * av + (1.0 - c) ** 2 * fit
 
 
+def _sign_pattern_finish(G, rank: int, h, base, A, GA, fA, pA, cols, pen: Penalty, obj_tol: float):
+    """Exact finish for p = 1, q in {1, 2} on the columns `cols` of A.
+
+    On the support S and signs s of a column's iterate the objective is a
+    quadratic in ``a_S``, minimized by ``G_SS a_S = h_S - s/lam`` for q = 1
+    and ``(G_SS + 2/lam^2 * s s') a_S = h_S`` for q = 2. Columns with
+    ``|S| > rank(G)``, whose system is singular, are skipped. A solution is
+    accepted when it keeps the signs s, its duality gap is at most
+    ``obj_tol * max(1, F)``, and its F is at most the iterate's. Accepted
+    columns are overwritten in A, GA, fA and pA, and returned.
+
+    Columns go in chunks of `_FINISH_CHUNK`, which bounds the stacked
+    (chunk, d, d) systems; each system is factored on its own, so a
+    column's solution does not depend on its chunk.
+    """
+    d = G.shape[0]
+    size = np.count_nonzero(A, axis=0)[cols]
+    cols = cols[(size > 0) & (size <= rank)]
+    diag = np.arange(d)
+    accepted = []
+    for lo in range(0, cols.size, _FINISH_CHUNK):
+        J = cols[lo : lo + _FINISH_CHUNK]
+        s = np.sign(A[:, J])
+        on = (s != 0.0).T
+        # off the support the system is the identity with a zero right side
+        M = G * (on[:, :, None] & on[:, None, :])
+        if pen.q == 2.0:
+            M += 2.0 / pen.lam**2 * s.T[:, :, None] * s.T[:, None, :]
+        M[:, diag, diag] += ~on
+        hJ = h[:, J]
+        rhs = (hJ - s / pen.lam if pen.q == 1.0 else hJ) * on.T
+        try:
+            a = np.linalg.solve(M, rhs.T[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # some G_SS is exactly singular: solve one by one
+            a = np.full((J.size, d), np.nan)
+            for i in range(J.size):
+                try:
+                    a[i] = np.linalg.solve(M[i], rhs[:, i])
+                except np.linalg.LinAlgError:
+                    pass
+        a = np.ascontiguousarray(a.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # a near-singular G_SS fails the tests below
+            Ga = G @ a
+            f = _fit_cols(a, Ga, hJ, base[J])
+            pa = _penalty_cols(a, pen)
+            F = f + pa
+            ok = np.all(np.sign(a) == s, axis=0) & (F <= fA[J] + pA[J])
+            ok &= _duality_gap(a, hJ - Ga, f, pa, pen) <= obj_tol * np.maximum(1.0, F)
+        J = J[ok]
+        A[:, J], GA[:, J], fA[J], pA[J] = a[:, ok], Ga[:, ok], f[ok], pa[ok]
+        accepted.append(J)
+    return np.concatenate(accepted) if accepted else cols
+
+
 def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
     """Monotone FISTA over all columns, with per-column restarts.
 
@@ -430,8 +465,12 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
 
     Convex routes (p, q >= 1) retire a column once its duality gap is at
     most ``obj_tol * max(1, F)``, or once its gradient mapping passes the
-    `_GRAD_TOL` test. Nonconvex routes (p < 1 or q < 1) run without
-    momentum and retire on a small gain or a small move.
+    `_GRAD_TOL` test. For p = 1 with q in {1, 2}, at each iteration in
+    `_FINISH_AT` the columns still live try `_sign_pattern_finish`, one
+    exact solve on their sign pattern; a column whose solution it certifies
+    retires with that solution, and every other column carries on
+    unchanged. Nonconvex routes (p < 1 or q < 1) run without momentum and
+    retire on a small gain or a small move.
 
     A retired column gets step 0 and no momentum, which freezes it in the
     working arrays until they are compacted; compaction waits until enough
@@ -440,7 +479,9 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
     """
     d, n = G.shape[0], h.shape[1]
     convex = pen.p >= 1.0 and pen.q >= 1.0
-    step0 = 1.0 / max(_top_eigenvalue(G), 1e-12)
+    finish = pen.p == 1.0 and pen.q in (1.0, 2.0)
+    top, rank = _gram_spectrum(G)
+    step0 = 1.0 / max(top, 1e-12)
 
     A_out = None  # allocated at the first compaction
     obj_out = np.empty(n)
@@ -489,6 +530,9 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
             done |= _duality_gap(Z, v, fZ, pZ, pen) <= cfg.obj_tol * np.maximum(1.0, fZ + pZ)
             del v
         done &= alive
+        if finish and it in _FINISH_AT:
+            trying = np.flatnonzero(alive & ~done)
+            done[_sign_pattern_finish(G, rank, hw, bw, Z, GZ, fZ, pZ, trying, pen, cfg.obj_tol)] = True
         if done.any():
             cols = idx[done]
             obj_out[cols] = fZ[done] + pZ[done]
@@ -581,7 +625,7 @@ def _solve_columns(Xmat: np.ndarray, D: Dictionary, pen: Penalty, cfg: SolverCon
             A0[:, j : j + n] = warm
             j += n
         if nonconvex:
-            A0[:, j : j + n] = np.linalg.solve(G + 1e-6 * max(_top_eigenvalue(G), 1.0) * np.eye(d), h)
+            A0[:, j : j + n] = np.linalg.solve(G + 1e-6 * max(_gram_spectrum(G)[0], 1.0) * np.eye(d), h)
             j += n
             radii = np.array([l1_bound_from_penalty(t, pen, d) for t in base])
             for i in range(randoms):
@@ -624,8 +668,10 @@ def sparse_code(x, D: Dictionary, pen: Penalty, cfg: SolverConfig = SolverConfig
     ``cfg.obj_tol * max(1, F)`` of the infimum, certified by a duality gap;
     it stops short of that certificate only where the gradient mapping is
     already below `_GRAD_TOL` or a plain step no longer descends in
-    floating point. For nonconvex pairs the result is the best of
-    `cfg.restarts` deterministic starts, each run to a stationary point.
+    floating point. For p = 1 with q in {1, 2} the certified point is
+    usually the exact minimizer on the sign pattern the loop identified.
+    For nonconvex pairs the result is the best of `cfg.restarts`
+    deterministic starts, each run to a stationary point.
     """
     x = _check_signal(x, D.m)
     A, _obj, iters, conv = _solve_columns(x[:, None], D, pen, cfg)

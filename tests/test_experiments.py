@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -253,6 +254,27 @@ class TestExport:
         curve = GapCurve(rows=(), slope=0.0, intercept=0.0, slope_inv_sqrt_n=0.0, intercept_inv_sqrt_n=0.0)
         with pytest.raises(OSError, match="no/such/dir"):
             export(curve, "no/such/dir/out.csv")
+
+    def test_failed_sidecar_write_keeps_the_earlier_pair(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "curve.csv")
+        export(gap_sweep(tiny_config(n_grid=(16,), trials=1)), path)
+        files = sorted(os.listdir(tmp_path))
+        before = [(tmp_path / name).read_bytes() for name in files]
+        earlier = load_curve(path)
+        write = experiments._write_beside
+
+        def fail_on_sidecar(target, text):
+            if target.endswith(".json"):
+                raise OSError("no space left on device")
+            write(target, text)
+
+        monkeypatch.setattr(experiments, "_write_beside", fail_on_sidecar)
+        with pytest.raises(OSError, match="curve.csv"):
+            export(gap_sweep(tiny_config(n_grid=(16,), trials=2)), path)
+        assert sorted(os.listdir(tmp_path)) == files == ["curve.csv", "curve.json"]
+        assert [(tmp_path / name).read_bytes() for name in files] == before
+        again = load_curve(path)
+        assert again.rows == earlier.rows and again.config == earlier.config
 
     @pytest.mark.parametrize("key", ["converged", "holdout_std_error"])
     def test_load_rejects_sidecar_row_count_mismatch(self, tmp_path, key):

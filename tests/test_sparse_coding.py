@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lpdict import sparse_coding
 from lpdict.core import (
     CoeffMatrix,
     Dictionary,
@@ -10,12 +11,15 @@ from lpdict.core import (
     penalty_eval,
 )
 from lpdict.sparse_coding import (
+    _FINISH_CHUNK,
     CodingResult,
     SolverConfig,
+    _duality_gap,
     _line_envelope,
     _envelope_eval,
-    _prox_power_scalar,
+    _prox_grad_descent,
     _prox_power_vector,
+    _sign_pattern_finish,
     _solve_columns,
     batch_objective,
     brute_force_code,
@@ -24,6 +28,40 @@ from lpdict.sparse_coding import (
     objective,
     sparse_code,
 )
+
+
+def _prox_power_scalar(z: float, s: float, p: float) -> float:
+    """Reference for the elementwise prox: the global minimizer of
+    ``0.5*(a - z)^2 + s*|a|^p`` for one scalar, by 60 steps of plain bisection."""
+    if s == 0.0 or z == 0.0:
+        return z
+    y = abs(z)
+    sign = 1.0 if z > 0 else -1.0
+    if p > 1.0:
+        # psi(a) = a - y + s*p*a^(p-1) is increasing with a root in (0, y)
+        lo, hi = 0.0, y
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if mid - y + s * p * mid ** (p - 1.0) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return sign * 0.5 * (lo + hi)
+    # p < 1: either 0 or the larger root of psi on [a_c, y], whichever is cheaper
+    a_c = (s * p * (1.0 - p)) ** (1.0 / (2.0 - p))
+    if a_c >= y or a_c - y + s * p * a_c ** (p - 1.0) >= 0.0:
+        return 0.0
+    lo, hi = a_c, y
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid - y + s * p * mid ** (p - 1.0) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    root = 0.5 * (lo + hi)
+    if 0.5 * (root - y) ** 2 + s * root**p < 0.5 * y * y:
+        return sign * root
+    return 0.0
 
 
 def random_dictionary(rng, m, d):
@@ -373,10 +411,135 @@ class TestConvexOptimum:
         _F, A = batch_objective(SignalSet(X), D, pen, cfg)
         batch = np.array([objective(X[:, j], D, A.coeffs[:, j], pen) for j in range(X.shape[1])])
         assert np.all(batch <= best + tol)
-        for j in range(0, X.shape[1], 4):
+        for j in range(X.shape[1]):
             res = sparse_code(X[:, j], D, pen, cfg)
             assert res.converged
             assert best[j] - 1e-12 <= res.objective <= best[j] + tol[j]
+
+
+class TestSignPatternFinish:
+    """The exact finish of p = 1, q in {1, 2} on the iterate's sign pattern."""
+
+    @staticmethod
+    def _code_recording(monkeypatch, D, X, pen):
+        """Code X; return every finish call as (rank, h, A before, offered, accepted, A after)."""
+        calls = []
+        finish = sparse_coding._sign_pattern_finish
+
+        def record(G, rank, h, base, A, GA, fA, pA, cols, pen, obj_tol):
+            before = A.copy()
+            acc = finish(G, rank, h, base, A, GA, fA, pA, cols, pen, obj_tol)
+            calls.append((rank, h.copy(), before, cols.copy(), acc.copy(), A.copy()))
+            return acc
+
+        monkeypatch.setattr(sparse_coding, "_sign_pattern_finish", record)
+        _A, _obj, _iters, conv = _solve_columns(X, D, pen, SolverConfig())
+        assert conv.all()
+        return calls
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_finished_columns_meet_kkt(self, monkeypatch, q):
+        D, X = TestConvexOptimum._batch(31, n=200)
+        pen = Penalty(1.0, q, 10.0)
+        calls = self._code_recording(monkeypatch, D, X, pen)
+        H = np.hstack([h[:, acc] for _r, h, _b, _c, acc, _a in calls])
+        A = np.hstack([a[:, acc] for _r, _h, _b, _c, acc, a in calls])
+        assert A.shape[1] >= 150
+        V = H - D.atoms.T @ D.atoms @ A
+        on = A != 0.0
+        # the subgradient of g at a is w*sign(a) on the support and within [-w, w] off it
+        w = np.full(A.shape[1], 1.0 / pen.lam) if q == 1.0 else 2.0 * np.sum(np.abs(A), axis=0) / pen.lam**2
+        assert np.all(np.abs(V - w * np.sign(A))[on] <= 1e-14)
+        assert np.all((np.abs(V) / w)[~on] <= 1.0)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_supports_beyond_rank_are_skipped(self, monkeypatch, q):
+        # m = 3 < d = 12: G has rank 3, and early iterates carry larger supports
+        rng = np.random.default_rng(41)
+        D = random_dictionary(rng, 3, 12)
+        X = rng.standard_normal((3, 200))
+        X /= np.linalg.norm(X, axis=0)
+        calls = self._code_recording(monkeypatch, D, X, Penalty(1.0, q, 10.0))
+        oversized = 0
+        for rank, _h, before, cols, acc, after in calls:
+            assert rank == 3
+            big = cols[np.count_nonzero(before[:, cols], axis=0) > rank]
+            oversized += big.size
+            assert np.intersect1d(big, acc).size == 0
+            assert np.array_equal(after[:, big], before[:, big])
+        assert oversized > 0
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_chunk_does_not_change_a_column(self, q):
+        D, X = TestConvexOptimum._batch(33, n=3 * _FINISH_CHUNK + 37)
+        pen = Penalty(1.0, q, 10.0)
+        G, H = D.atoms.T @ D.atoms, D.atoms.T @ X
+        base = 0.5 * np.sum(X * X, axis=0)
+        # iterates from before the first scheduled finish
+        A, _obj, _it, _conv = _prox_grad_descent(G, H, base, pen, SolverConfig(max_iters=9), np.zeros((12, X.shape[1])))
+        GA = G @ A
+        fA, pA = sparse_coding._fit_cols(A, GA, H, base), sparse_coding._penalty_cols(A, pen)
+        rank = int(np.linalg.matrix_rank(G))
+
+        def finish(J):
+            out = [A[:, J], GA[:, J], fA[J], pA[J]]  # copies, overwritten where accepted
+            acc = _sign_pattern_finish(G, rank, H[:, J], base[J], *out, np.arange(J.size), pen, 1e-8)
+            return np.isin(np.arange(J.size), acc), out
+
+        every = np.arange(X.shape[1])
+        acc_all, out_all = finish(every)
+        assert 0 < acc_all.sum() < every.size
+        for J in (every[:_FINISH_CHUNK], every[_FINISH_CHUNK + 11 : 2 * _FINISH_CHUNK + 11]):
+            acc, out = finish(J)
+            assert np.array_equal(acc, acc_all[J])
+            for mine, whole in zip(out, out_all):
+                assert np.array_equal(mine[..., acc], whole[..., J][..., acc])
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_singular_reduced_system_is_skipped(self, q):
+        # atom 4 repeats atom 0, so a support holding both has a singular
+        # G_SS although it is smaller than rank(G) = 4
+        rng = np.random.default_rng(43)
+        D = random_dictionary(rng, 4, 4)
+        D = Dictionary(np.column_stack([D.atoms, D.atoms[:, 0]]))
+        X = rng.standard_normal((4, 40))
+        X /= np.linalg.norm(X, axis=0)
+        pen = Penalty(1.0, q, 10.0)
+        G, H = D.atoms.T @ D.atoms, D.atoms.T @ X
+        base = 0.5 * np.sum(X * X, axis=0)
+        A, _obj, _it, _conv = _prox_grad_descent(G, H, base, pen, SolverConfig(max_iters=30), np.zeros((5, 40)))
+        A[:, 0] = [0.1, 0.0, 0.0, 0.0, 0.2]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(G[np.ix_([0, 4], [0, 4])], [1.0, 1.0])
+        GA = G @ A
+        fA, pA = sparse_coding._fit_cols(A, GA, H, base), sparse_coding._penalty_cols(A, pen)
+
+        def finish(J):
+            out = [A[:, J], GA[:, J], fA[J], pA[J]]
+            acc = _sign_pattern_finish(G, 4, H[:, J], base[J], *out, np.arange(J.size), pen, 1e-8)
+            return np.isin(np.arange(J.size), acc), out[0]
+
+        acc, coeffs = finish(np.arange(40))
+        assert not acc[0] and np.array_equal(coeffs[:, 0], A[:, 0])
+        assert acc[1:].any()
+        rest, rest_coeffs = finish(np.arange(1, 40))
+        assert np.array_equal(rest, acc[1:]) and np.array_equal(rest_coeffs, coeffs[:, 1:])
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_single_one_two_calls_are_certified(self, seed):
+        # the (1, 2) calls of TestConvexOptimum: a converged result carries its
+        # duality-gap certificate
+        D, X = TestConvexOptimum._batch(seed)
+        pen, cfg = Penalty(1.0, 2.0, 10.0), SolverConfig()
+        G = D.atoms.T @ D.atoms
+        for j in range(X.shape[1]):
+            res = sparse_code(X[:, j], D, pen, cfg)
+            assert res.converged
+            a, h = res.coeffs[:, None], (D.atoms.T @ X[:, j])[:, None]
+            fit = np.array([0.5 * res.residual_norm**2])
+            pen_a = np.array([penalty_eval(res.coeffs, pen)])
+            gap = _duality_gap(a, h - G @ a, fit, pen_a, pen)
+            assert gap[0] <= cfg.obj_tol * max(1.0, res.objective)
 
 
 class TestBatchObjective:
