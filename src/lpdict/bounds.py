@@ -45,6 +45,8 @@ __all__ = [
 _SQRT8 = math.sqrt(8.0)
 _STRICTNESS_BUMP = 1e-9  # keeps the auto-derived L strictly above threshold
 _MAX_SAMPLES = 1 << 62
+_EPS = float(np.finfo(float).eps)
+_ROUNDING_ULPS = 8  # bound, in eps, on the relative rounding error of n*tau^2 against m*d*log(3/eps) + x
 
 
 def _signal_norms(X) -> np.ndarray:
@@ -168,7 +170,11 @@ def proof_constants(n: int, m: int, d: int, L: float, confidence_x: float):
         gamma = tau / sqrt(8)
 
     By construction ``exp(m*d*log(3/eps)) * 2*exp(-n*tau^2) == 2*exp(-x)``;
-    the identity is re-verified to 1e-10 relative before returning.
+    the identity is re-verified to 1e-10 relative before returning. A larger
+    defect that the rounding of ``n*tau^2`` explains, at an ``x`` so large
+    that a few ulps of ``m*d*log(3/eps) + x`` exceed 1e-10, is a ValueError:
+    double precision cannot certify those inputs. Any other defect is an
+    ArithmeticError.
     """
     n = int(n)
     x = _confidence(confidence_x)
@@ -183,8 +189,14 @@ def proof_constants(n: int, m: int, d: int, L: float, confidence_x: float):
     log_cover = m * d * math.log(3.0 / eps)
     tau = math.sqrt((log_cover + x) / n)
     gamma = tau / _SQRT8
-    defect = math.expm1(log_cover - n * tau * tau + x)
+    exponent = log_cover - n * tau * tau + x
+    defect = math.expm1(exponent) if exponent < 709.0 else math.inf  # expm1 overflows from about 709.8
     if abs(defect) > 1e-10:
+        if abs(exponent) <= _ROUNDING_ULPS * _EPS * (log_cover + x):
+            raise ValueError(
+                f"confidence_x={x!r} is too large to certify in double precision: rounding alone "
+                f"moves the net/tail identity by relative {defect:.3e}"
+            )
         raise ArithmeticError(f"net/tail identity violated by relative {defect:.3e}")
     return eps, tau, gamma
 

@@ -4,9 +4,21 @@ Generates unit-ball distributions, estimates |train objective - expected
 objective| across sample sizes, compares each gap against the deviation
 bound eta, and fits the decay rate of the mean gap against sqrt(log n / n).
 
-Seeding: each (n, trial) job derives child seeds from the master seed with
-fixed integer tags, so trials are order-independent and a config reproduces
-its CSV byte-for-byte.
+Seeding: each (n, trial) job derives its streams from the master seed
+(``dist.seed``) and fixed integer tags, so trials are order-independent and
+a config reproduces its CSV byte-for-byte. With
+``s(parts) = SeedSequence(parts).generate_state(1)[0]``, and `sample` drawing
+``count`` signals from ``default_rng([seed, count])``:
+
+* training signals: seed ``s(master, n, trial, 1)``;
+* holdout signals: seed ``s(s(master, n, trial, 3), 3)``, since
+  `_run_trial` derives ``s(master, n, trial, 3)`` and `_code_holdout` derives
+  once more from that, with the same tag;
+* random dictionary: ``default_rng([master, n, trial, 2])``;
+* learned dictionary: `LearnConfig.seed` ``s(master, n, trial, 4)``, whose
+  initial atoms `learn` draws from ``default_rng([seed, 23])``;
+* planted dictionary: ``default_rng([true_dict_seed, 5])``, the same for
+  every row; `sample` synthesizes planted-sparse signals from it too.
 """
 
 from __future__ import annotations
@@ -46,6 +58,12 @@ _DICT_SOURCES = ("learned", "random", "planted")
 _TAG_TRAIN, _TAG_DICT, _TAG_HOLDOUT, _TAG_LEARN, _TAG_PLANT = 1, 2, 3, 4, 5
 _CSV_HEADER = "n,trial,train_F,holdout_F,gap,eta"
 _PARTIAL = ".partial"  # suffix of the temporary files `export` renames into place
+_SEED_DERIVATION = (
+    "s(parts) = SeedSequence(parts).generate_state(1)[0]; sample(seed, count) draws from default_rng([seed, count]); "
+    "train: sample(s(master, n, trial, 1), n); holdout: sample(s(s(master, n, trial, 3), 3), holdout_n); "
+    "random dict: default_rng([master, n, trial, 2]); learn: seed s(master, n, trial, 4), "
+    "initial atoms from default_rng([seed, 23]); planted dict: default_rng([true_dict_seed, 5])"
+)
 
 
 def _derive_seed(*parts: int) -> int:
@@ -355,7 +373,7 @@ def export(curve: GapCurve, path: str) -> None:
         "config": curve.config.to_dict() if curve.config is not None else None,
         "seeds": {
             "master": curve.config.dist.seed if curve.config is not None else None,
-            "derivation": "SeedSequence([master, n, trial, tag]); tags: train=1, dict=2, holdout=3, learn=4",
+            "derivation": _SEED_DERIVATION,
         },
         "rows_extra": {
             "holdout_std_error": [r.holdout_std_error for r in curve.rows],

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _NORM_FLOOR, CoeffMatrix, Dictionary, Penalty, SignalSet, _coeffs_of, _signals_of, _unit_columns
+from .core import CoeffMatrix, Dictionary, Penalty, SignalSet, _coeffs_of, _signals_of, _unit_columns
 from .sparse_coding import SolverConfig, _col_sq, _solve_columns
 
 __all__ = ["LearnConfig", "LearnTrace", "project_atoms", "dict_update", "learn"]
 
-_INIT_MODES = ("data-atoms", "random-atoms")
 _MAX_INNER_UPDATES = 100
 _EARLY_STOP_REL = 1e-8
 _EARLY_STOP_ROUNDS = 3
@@ -32,15 +31,12 @@ _DICT_GRAD_TOL = 1e-8  # `dict_update` stops once the Riemannian gradient norm i
 @dataclass(frozen=True)
 class LearnConfig:
     outer_iters: int = 50
-    init_mode: str = "data-atoms"
     seed: int = 0
     coding: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if int(self.outer_iters) < 1:
             raise ValueError("outer_iters must be >= 1")
-        if self.init_mode not in _INIT_MODES:
-            raise ValueError(f"init_mode must be one of {_INIT_MODES}, got {self.init_mode!r}")
         if int(self.seed) < 0:
             raise ValueError("seed must be an unsigned integer")
 
@@ -65,16 +61,6 @@ def project_atoms(M) -> Dictionary:
     return Dictionary(_unit_columns(M))
 
 
-def _normalized_or_old(M: np.ndarray, old: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(M, axis=0)
-    dead = norms < _NORM_FLOOR
-    if dead.any():
-        M = M.copy()
-        M[:, dead] = old[:, dead]
-        norms = np.where(dead, 1.0, norms)
-    return M / norms
-
-
 def _fit_value(Xmat, Datoms, Amat) -> float:
     R = Xmat - Datoms @ Amat
     return 0.5 * float(np.sum(R * R)) / Xmat.shape[1]
@@ -85,7 +71,8 @@ def dict_update(X, A, D0: Dictionary) -> Dictionary:
 
     Accepts a step only when it decreases the fit (Armijo test on the
     constrained iterate), so the full objective at fixed coefficients can
-    only go down; the penalty does not depend on the dictionary.
+    only go down; the penalty does not depend on the dictionary. Candidate
+    atoms are normalized by `_unit_columns`, as in `project_atoms`.
     """
     Xmat = _signals_of(X)
     Amat = _coeffs_of(A)
@@ -114,7 +101,7 @@ def dict_update(X, A, D0: Dictionary) -> Dictionary:
         step = min(step * 2.0, 1e12)
         accepted = False
         while step > 1e-18:
-            cand = _normalized_or_old(D - step * rgrad, D)
+            cand = _unit_columns(D - step * rgrad)
             fc = _fit_value(Xmat, cand, Amat)
             if fc <= f - 1e-4 * step * gn2:
                 accepted = True
@@ -149,10 +136,9 @@ def _revive_dead_atoms(Datoms: np.ndarray, Amat: np.ndarray, Xmat: np.ndarray) -
     return _unit_columns(D, norms)
 
 
-def _init_dictionary(Xmat: np.ndarray, m: int, d: int, cfg: LearnConfig) -> Dictionary:
+def _init_dictionary(Xmat: np.ndarray, d: int, cfg: LearnConfig) -> Dictionary:
+    """d training signals drawn at random, as unit atoms."""
     rng = np.random.default_rng([int(cfg.seed), 23])
-    if cfg.init_mode == "random-atoms":
-        return project_atoms(rng.standard_normal((m, d)))
     n = Xmat.shape[1]
     idx = rng.choice(n, size=d, replace=n < d)
     return project_atoms(Xmat[:, idx])
@@ -167,7 +153,7 @@ def learn(X: SignalSet, m: int, d: int, pen: Penalty, cfg: LearnConfig = LearnCo
         raise ValueError(f"signal rows {Xmat.shape[0]} do not match m={m}")
     if int(d) < 1:
         raise ValueError("d must be a positive integer")
-    D = _init_dictionary(Xmat, int(m), int(d), cfg)
+    D = _init_dictionary(Xmat, int(d), cfg)
     A = None
     objectives: list[float] = []
     for _ in range(int(cfg.outer_iters)):

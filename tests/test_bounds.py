@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lpdict import bounds
 from lpdict.bounds import (
     BoundInputs,
     compute_beta,
@@ -208,6 +209,18 @@ class TestProofConstants:
         # small L with a large beta floor pushes the net radius past 1
         with pytest.raises(ValueError, match="net radius"):
             proof_constants(3, 30, 30, 0.05, 0.0)
+
+    def test_confidence_beyond_double_precision_is_a_value_error(self, monkeypatch):
+        # at x = 1e17 one ulp of m*d*log(3/eps) + x is 16, so rounding alone
+        # moves the identity far past 1e-10
+        with pytest.raises(ValueError, match="too large to certify"):
+            proof_constants(1000, 3, 3, 5.0, 1e17)
+        with pytest.raises(ValueError, match="too large to certify"):
+            proof_constants(1000, 3, 3, 5.0, 1e300)
+        # a defect that rounding does not explain stays an ArithmeticError
+        monkeypatch.setattr(bounds, "_ROUNDING_ULPS", 0)
+        with pytest.raises(ArithmeticError, match="net/tail identity violated"):
+            proof_constants(1000, 3, 3, 5.0, 1e17)
 
 
 class TestFullReport:

@@ -159,6 +159,16 @@ class TestLearn:
         err = capsys.readouterr().err
         assert err.startswith("error: --config:") and err.count("\n") == 1
 
+    def test_deleted_init_mode_key_is_validation(self, capsys, tmp_path):
+        data = str(tmp_path / "data.csv")
+        write_matrix(data, np.zeros((2, 3)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"init_mode": "data-atoms"}))
+        code = run(f"learn --data {data} --d 2 --p 1 --q 1 --lambda 1 --config {cfg}".split())
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config, --seed:") and err.count("\n") == 1
+
 
 class TestExperiment:
     def test_runs_tiny_sweep(self, capsys, tmp_path):
@@ -254,6 +264,7 @@ _LEARN = "learn --data {dir}/X.csv --d 2 --p 1 --q 1 --lambda 2 --out-dict {dir}
         (f"{_BOUND} --n {{big}}", "--n"),
         (f"{_SAMPLESIZE} --m {{big}}", "--m"),
         (f"{_SAMPLESIZE} --d {{big}}", "--d"),
+        ("bound --m 3 --d 3 --p 1 --q 1 --lambda 10 --n 1000 --confidence 1e17", "--confidence"),
     ],
 )
 def test_invalid_flag_value_is_one_line_naming_the_flag(argv, flag, capsys, tmp_path):

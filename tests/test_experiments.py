@@ -137,6 +137,33 @@ class TestGapSweep:
         etas = {row.n: row.eta for row in curve.rows}
         assert etas[32] < etas[16]
 
+    def test_rows_follow_the_documented_seed_chain(self, tmp_path):
+        # rebuild the (n=32, trial=1) row from the chain the sidecar states,
+        # with SeedSequence directly rather than the module's helper
+        def s(*parts):
+            return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+        cfg = tiny_config()
+        path = str(tmp_path / "curve.csv")
+        curve = gap_sweep(cfg)
+        export(curve, path)
+        with open(str(tmp_path / "curve.json")) as fh:
+            derivation = json.load(fh)["seeds"]["derivation"]
+        assert "train: sample(s(master, n, trial, 1), n)" in derivation
+        assert "holdout: sample(s(s(master, n, trial, 3), 3), holdout_n)" in derivation
+        assert "random dict: default_rng([master, n, trial, 2])" in derivation
+        master, n, trial = cfg.dist.seed, 32, 1
+        row = next(r for r in curve.rows if (r.n, r.trial) == (n, trial))
+        D = random_dictionary(cfg.dist.m, cfg.d, np.random.default_rng([master, n, trial, 2]))
+
+        def coded_mean(seed, count):
+            X = sample(dataclasses.replace(cfg.dist, seed=seed), count)
+            _A, obj, _it, _conv = experiments._solve_columns(X.signals, D, cfg.pen, cfg.learn.coding)
+            return float(np.mean(obj))
+
+        assert coded_mean(s(master, n, trial, 1), n) == row.train_F
+        assert coded_mean(s(s(master, n, trial, 3), 3), cfg.holdout_n) == row.holdout_F
+
     def test_degenerate_distribution_gap_near_zero(self):
         cfg = tiny_config(
             dist=DistributionSpec(
@@ -298,6 +325,7 @@ class TestExport:
             ("coding", "grad_tol", 1e-10),
             ("learn", "dict_step_shrink", 0.5),
             ("learn", "dict_grad_tol", 1e-8),
+            ("learn", "init_mode", "data-atoms"),
         ],
     )
     def test_load_rejects_config_echo_that_does_not_rebuild(self, tmp_path, block, key, value):

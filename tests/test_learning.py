@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from lpdict.core import CoeffMatrix, Dictionary, Penalty, SignalSet
-from lpdict.learning import LearnConfig, LearnTrace, _revive_dead_atoms, dict_update, learn, project_atoms
+from lpdict.learning import (
+    LearnConfig,
+    LearnTrace,
+    _init_dictionary,
+    _revive_dead_atoms,
+    dict_update,
+    learn,
+    project_atoms,
+)
 from lpdict.sparse_coding import SolverConfig, batch_objective, objective
 
 
@@ -171,12 +179,15 @@ class TestLearn:
         assert np.array_equal(t1.final_dict.atoms, t2.final_dict.atoms)
         assert np.array_equal(t1.final_coeffs.coeffs, t2.final_coeffs.coeffs)
 
-    def test_init_modes(self):
+    def test_initial_atoms_are_normalized_training_signals(self):
         rng = np.random.default_rng(8)
         X = unit_ball_signals(rng, 3, 10)
-        for mode in ("data-atoms", "random-atoms"):
-            trace = learn(X, 3, 4, Penalty(1, 1, 5), fast_cfg(outer_iters=2, init_mode=mode))
-            assert isinstance(trace, LearnTrace)
+        D = _init_dictionary(X.signals, 4, fast_cfg(seed=3))
+        unit = X.signals / np.linalg.norm(X.signals, axis=0)
+        for j in range(4):
+            assert np.min(np.linalg.norm(unit - D.atoms[:, j : j + 1], axis=0)) < 1e-15
+        trace = learn(X, 3, 4, Penalty(1, 1, 5), fast_cfg(outer_iters=2))
+        assert isinstance(trace, LearnTrace)
 
     def test_rejects_mismatched_m(self):
         X = SignalSet(np.zeros((3, 5)))
@@ -186,5 +197,5 @@ class TestLearn:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LearnConfig(outer_iters=0)
-        with pytest.raises(ValueError):
-            LearnConfig(init_mode="bogus")
+        with pytest.raises(TypeError):  # a deleted field
+            LearnConfig(init_mode="data-atoms")

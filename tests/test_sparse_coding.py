@@ -542,6 +542,31 @@ class TestSignPatternFinish:
             assert gap[0] <= cfg.obj_tol * max(1.0, res.objective)
 
 
+class TestDescent:
+    # every exponent pair the benchmark codes, plus (1, 2); every stop rule
+    # of the loop relies on its descent check, so no column's objective may
+    # rise as the iteration budget grows
+    @pytest.mark.parametrize(
+        "p, q",
+        [(p, q) for p in (0.5, 1.0, 1.5, 2.0) for q in (0.5, 1.0, 2.0)] + [(1.5, 1.5)],
+    )
+    def test_objective_does_not_rise_with_max_iters(self, p, q):
+        rng = np.random.default_rng([31, int(10 * p), int(10 * q)])
+        D = random_dictionary(rng, 8, 12)
+        X = np.column_stack([random_ball_signal(rng, 8) for _ in range(80)])
+        G, h = D.atoms.T @ D.atoms, D.atoms.T @ X
+        base = 0.5 * np.einsum("ij,ij->j", X, X)
+        A0 = 0.1 * rng.standard_normal((12, 80))  # nonzero, so that every route moves
+        pen = Penalty(p, q, 10.0)
+        last = None
+        for budget in (1, 2, 3, 5, 10, 11, 20, 30, 50, 80, 130, 300):
+            cfg = SolverConfig(max_iters=budget)
+            _A, obj, _it, _conv = _prox_grad_descent(G, h, base, pen, cfg, A0)
+            if last is not None:
+                assert np.all(obj <= last), (budget, float(np.max(obj - last)))
+            last = obj
+
+
 class TestBatchObjective:
     def test_all_zero_signals(self):
         D = Dictionary(np.eye(3))
@@ -637,27 +662,37 @@ class TestBruteForce:
         assert res.objective <= 0.5 * float(x @ x) + 1e-15
 
     def test_envelope_path_equals_plain_scan(self):
-        # d=3 separable goes through the third-axis elimination; check against
-        # the naive product-grid scan on small grids
+        # d=3 separable goes through the third-axis elimination, d=3 with
+        # q != p through the plane scan; check both against the naive
+        # product-grid scan on small grids
         rng = np.random.default_rng(18)
+        cases = []
         for _ in range(10):
             m = int(rng.integers(1, 4))
-            D = random_dictionary(rng, m, 3)
-            x = random_ball_signal(rng, m)
+            D, x = random_dictionary(rng, m, 3), random_ball_signal(rng, m)
             p = float(rng.choice([0.5, 1.0, 2.0]))
-            pen = Penalty(p, p, float(rng.uniform(0.5, 2)))
-            w = max(l1_bound_from_penalty(0.5 * float(x @ x), pen, 3), 1e-6)
-            N = 31
-            got = brute_force_code(x, D, pen, grid_half_width=w, grid_points=N)
+            cases.append((D, x, Penalty(p, p, float(rng.uniform(0.5, 2)))))
+        # a zero signal: the default half width is 0, so every grid point,
+        # and with it every slope of the line envelope, is 0
+        cases.append((random_dictionary(rng, 2, 3), np.zeros(2), Penalty(1, 1, 1.5)))
+        cases.append((random_dictionary(rng, 3, 3), random_ball_signal(rng, 3), Penalty(1, 2, 1.5)))
+        cases.append((random_dictionary(rng, 2, 3), random_ball_signal(rng, 2), Penalty(0.5, 1, 0.8)))
+        N = 31
+        for D, x, pen in cases:
+            w = l1_bound_from_penalty(0.5 * float(x @ x), pen, 3)
+            if w > 0.0:
+                got = brute_force_code(x, D, pen, grid_half_width=w, grid_points=N)
+            else:
+                got = brute_force_code(x, D, pen, grid_points=N)
             g = np.linspace(-w, w, N)
             A, B, C = np.meshgrid(g, g, g, indexing="ij")
             pts = np.stack([A.ravel(), B.ravel(), C.ravel()])
             R = x[:, None] - D.atoms @ pts
-            obj = 0.5 * np.einsum("ij,ij->j", R, R) + np.sum(
-                (np.abs(pts) / pen.lam) ** pen.p, axis=0
-            )
+            S = np.sum((np.abs(pts) / pen.lam) ** pen.p, axis=0)
+            obj = 0.5 * np.einsum("ij,ij->j", R, R) + S ** (pen.q / pen.p)
             ref = min(float(np.min(obj)), 0.5 * float(x @ x))
             assert got.objective == pytest.approx(ref, abs=1e-10)
+            assert objective(x, D, got.coeffs, pen) == got.objective
 
     def test_line_envelope_matches_direct_minimum(self):
         rng = np.random.default_rng(19)
