@@ -45,8 +45,7 @@ __all__ = [
 _SQRT8 = math.sqrt(8.0)
 _STRICTNESS_BUMP = 1e-9  # keeps the auto-derived L strictly above threshold
 _MAX_SAMPLES = 1 << 62
-_EPS = float(np.finfo(float).eps)
-_ROUNDING_ULPS = 8  # bound, in eps, on the relative rounding error of n*tau^2 against m*d*log(3/eps) + x
+_ROUNDING_SLACK = 8 * float(np.finfo(float).eps)  # bounds the relative rounding error of n*tau^2 vs its exact value
 
 
 def _signal_norms(X) -> np.ndarray:
@@ -192,7 +191,7 @@ def proof_constants(n: int, m: int, d: int, L: float, confidence_x: float):
     exponent = log_cover - n * tau * tau + x
     defect = math.expm1(exponent) if exponent < 709.0 else math.inf  # expm1 overflows from about 709.8
     if abs(defect) > 1e-10:
-        if abs(exponent) <= _ROUNDING_ULPS * _EPS * (log_cover + x):
+        if abs(exponent) <= _ROUNDING_SLACK * (log_cover + x):
             raise ValueError(
                 f"confidence_x={x!r} is too large to certify in double precision: rounding alone "
                 f"moves the net/tail identity by relative {defect:.3e}"

@@ -218,7 +218,7 @@ class TestProofConstants:
         with pytest.raises(ValueError, match="too large to certify"):
             proof_constants(1000, 3, 3, 5.0, 1e300)
         # a defect that rounding does not explain stays an ArithmeticError
-        monkeypatch.setattr(bounds, "_ROUNDING_ULPS", 0)
+        monkeypatch.setattr(bounds, "_ROUNDING_SLACK", 0.0)
         with pytest.raises(ArithmeticError, match="net/tail identity violated"):
             proof_constants(1000, 3, 3, 5.0, 1e17)
 
