@@ -19,6 +19,17 @@ a config reproduces its CSV byte-for-byte. With
   initial atoms `learn` draws from ``default_rng([seed, 23])``;
 * planted dictionary: ``default_rng([true_dict_seed, 5])``, the same for
   every row; `sample` synthesizes planted-sparse signals from it too.
+
+A planted-sparse `sample` makes its draws from ``default_rng([seed, count])``
+in this order (from version 0.2.0; 0.1.0 drew column by column, so its
+planted-sparse CSVs do not reproduce):
+
+1. supports, by Floyd's algorithm over all columns at once: for
+   ``i, j in enumerate(range(d - k, d))``, ``t = integers(0, j + 1,
+   size=count)`` and ``support[i] = where(t in support[:i], j, t)``;
+2. coefficients, ``coeff_scale * standard_normal((k, count))``;
+3. signals ``x = sum_i D[:, support[i]] * coeffs[i]``, each divided by
+   ``max(1, ||x||)``.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .bounds import BoundInputs, _derived_L, full_report, proof_constants
 from .core import Dictionary, Penalty, SignalSet, _unit_columns
 from .learning import LearnConfig, learn
@@ -62,7 +74,10 @@ _SEED_DERIVATION = (
     "s(parts) = SeedSequence(parts).generate_state(1)[0]; sample(seed, count) draws from default_rng([seed, count]); "
     "train: sample(s(master, n, trial, 1), n); holdout: sample(s(s(master, n, trial, 3), 3), holdout_n); "
     "random dict: default_rng([master, n, trial, 2]); learn: seed s(master, n, trial, 4), "
-    "initial atoms from default_rng([seed, 23]); planted dict: default_rng([true_dict_seed, 5])"
+    "initial atoms from default_rng([seed, 23]); planted dict: default_rng([true_dict_seed, 5]); "
+    "planted signals, in draw order: for i, j in enumerate(range(d - k, d)): t = integers(0, j + 1, size=count), "
+    "support[i] = where(t in support[:i], j, t); coeffs = coeff_scale * standard_normal((k, count)); "
+    "x = sum_i D[:, support[i]] * coeffs[i], divided by max(1, ||x||)"
 )
 
 
@@ -140,13 +155,17 @@ def sample(dist: DistributionSpec, n: int) -> SignalSet:
     D = planted_dictionary(dist).atoms
     d = int(dist.dict_d)
     k = int(dist.sparsity_k)
-    X = np.empty((m, n))
-    for j in range(n):
-        support = rng.choice(d, size=k, replace=False)
-        a = np.zeros(d)
-        a[support] = dist.coeff_scale * rng.standard_normal(k)
-        x = D @ a
-        X[:, j] = x / max(1.0, float(np.linalg.norm(x)))
+    # Floyd's subset draw, one step for all columns at once: row i takes a
+    # uniform t in [0, j] and falls back to j when t is already in the column
+    support = np.empty((k, n), dtype=np.intp)
+    for i, j in enumerate(range(d - k, d)):
+        t = rng.integers(0, j + 1, size=n)
+        support[i] = np.where((support[:i] == t).any(axis=0), j, t)
+    coeffs = dist.coeff_scale * rng.standard_normal((k, n))
+    X = np.zeros((m, n))
+    for i in range(k):
+        X += D[:, support[i]] * coeffs[i]
+    X /= np.maximum(1.0, np.linalg.norm(X, axis=0))
     return SignalSet(X)
 
 
@@ -353,7 +372,8 @@ def _write_beside(target: str, text: str) -> None:
 
 def export(curve: GapCurve, path: str) -> None:
     """Write the curve as CSV (17 significant digits) plus a JSON sidecar
-    holding the fit, the config echo, seeds, and per-row extras.
+    holding the lpdict version, the fit, the config echo, seeds, and per-row
+    extras.
 
     Both files are first written in full to temporary files in the target
     directory and only then renamed over the targets, so a failed or
@@ -364,6 +384,7 @@ def export(curve: GapCurve, path: str) -> None:
         f"{r.n},{r.trial},{r.train_F:.17g},{r.holdout_F:.17g},{r.gap:.17g},{r.eta:.17g}" for r in curve.rows
     ]
     sidecar = {
+        "lpdict_version": __version__,
         "fit": {
             "slope": curve.slope,
             "intercept": curve.intercept,

@@ -598,10 +598,12 @@ def _solve_columns(Xmat: np.ndarray, D: Dictionary, pen: Penalty, cfg: SolverCon
 
     Every start (zero, the warm start, and for nonconvex exponents a ridge
     start and seeded random ones) is a block of columns in one
-    `_prox_grad_descent` call. The candidates, and the literal zero vector,
-    are merged per column: strictly smaller objective wins, ties break toward
-    smaller l1 norm and then toward the earlier candidate. `iters` sums the
-    iterations of every start.
+    `_prox_grad_descent` call. On a convex route (p, q >= 1) a warm start
+    replaces the zero start, since monotone FISTA never ends above F(warm).
+    The candidates, and the literal zero vector, are merged per column:
+    strictly smaller objective wins, ties break toward smaller l1 norm and
+    then toward the earlier candidate. `iters` sums the iterations of every
+    start.
     """
     atoms = D.atoms
     d, n = atoms.shape[1], Xmat.shape[1]
@@ -611,9 +613,10 @@ def _solve_columns(Xmat: np.ndarray, D: Dictionary, pen: Penalty, cfg: SolverCon
 
     nonconvex = pen.p < 1.0 or pen.q < 1.0
     randoms = max(int(cfg.restarts) - 2, 0) if nonconvex else 0
-    k = 1 + (warm is not None) + nonconvex + randoms
+    k = (warm is None or nonconvex) + (warm is not None) + nonconvex + randoms
     if k == 1:
-        A, obj, it, conv = _prox_grad_descent(G, h, base, pen, cfg, np.zeros((d, n)))
+        A0 = np.zeros((d, n)) if warm is None else warm
+        A, obj, it, conv = _prox_grad_descent(G, h, base, pen, cfg, A0)
     else:
         A0 = np.empty((d, k * n))  # one block of columns per start
         A0[:, :n] = 0.0

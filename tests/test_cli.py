@@ -51,6 +51,13 @@ class TestBound:
         assert code in (0, 1)
         assert "n >= 3" in err
 
+    @pytest.mark.parametrize("m, d", [(3, 3), (16, 32)])
+    def test_huge_n_gives_a_finite_eta(self, m, d, capsys):
+        code = run(f"bound --m {m} --d {d} --p 1 --q 1 --lambda 1 --n {10**300} --confidence 1".split())
+        assert code == 0
+        eta = json.loads(capsys.readouterr().out)["eta"]
+        assert math.isfinite(eta) and eta > 0.0
+
 
 class TestSampleSize:
     def test_round_trips_against_bound(self, capsys):

@@ -1,10 +1,13 @@
 import math
+import pathlib
+import tomllib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpdict
 from lpdict.core import (
     TOL_UNIT,
     CoeffMatrix,
@@ -207,3 +210,9 @@ class TestDomainTypes:
     def test_coeff_matrix_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             CoeffMatrix(np.array([[1.0, np.inf]]))
+
+
+def test_pyproject_version_is_the_package_version():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == lpdict.__version__

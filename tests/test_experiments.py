@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
+import lpdict
 from lpdict import experiments
 from lpdict.core import Penalty
 from lpdict.experiments import (
@@ -85,6 +87,30 @@ class TestSample:
         with pytest.raises(ValueError):
             DistributionSpec(kind="planted-sparse", m=3, dict_d=4, sparsity_k=9)
 
+    def test_planted_supports_are_uniform_subsets(self):
+        # with dict_d = m the planted atoms are a basis, so solving for the
+        # coefficients recovers each column's support; all C(6, 3) = 20
+        # subsets must appear, and the counts must pass a chi-square test
+        # at the 0.001 level (43.82 for 19 degrees of freedom)
+        spec = DistributionSpec(kind="planted-sparse", m=6, dict_d=6, sparsity_k=3, seed=41, true_dict_seed=7)
+        n = 60_000
+        coeffs = np.linalg.solve(planted_dictionary(spec).atoms, sample(spec, n).signals)
+        mask = np.abs(coeffs) > 1e-9 * np.abs(coeffs).max(axis=0)
+        assert np.all(mask.sum(axis=0) == 3)
+        keys = (mask * (1 << np.arange(6))[:, None]).sum(axis=0)
+        counts = np.bincount(keys, minlength=64)
+        subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(6), 3)]
+        assert np.all(counts[subsets] > 0) and counts[subsets].sum() == n
+        expected = n / len(subsets)
+        chi2 = float(np.sum((counts[subsets] - expected) ** 2 / expected))
+        assert chi2 <= 43.82
+
+    def test_planted_sparsity_recovered_by_least_squares(self):
+        spec = DistributionSpec(kind="planted-sparse", m=8, dict_d=5, sparsity_k=2, coeff_scale=2.0, seed=42)
+        coeffs, *_ = np.linalg.lstsq(planted_dictionary(spec).atoms, sample(spec, 500).signals, rcond=None)
+        nonzero = np.abs(coeffs) > 1e-9 * np.abs(coeffs).max(axis=0)
+        assert np.all(nonzero.sum(axis=0) == 2)
+
     def test_planted_dictionary_shape(self):
         spec = DistributionSpec(kind="planted-sparse", m=5, dict_d=8, sparsity_k=1, true_dict_seed=6)
         D = planted_dictionary(spec)
@@ -138,31 +164,62 @@ class TestGapSweep:
         assert etas[32] < etas[16]
 
     def test_rows_follow_the_documented_seed_chain(self, tmp_path):
-        # rebuild the (n=32, trial=1) row from the chain the sidecar states,
-        # with SeedSequence directly rather than the module's helper
+        # rebuild the (n=32, trial=1) row of a sphere sweep and of a
+        # planted-sparse sweep from the chain the sidecar states, with
+        # SeedSequence directly rather than the module's helper; the planted
+        # signals follow the stated draw order with Floyd's algorithm run one
+        # column at a time in plain Python, not through `sample`
         def s(*parts):
             return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
-        cfg = tiny_config()
-        path = str(tmp_path / "curve.csv")
-        curve = gap_sweep(cfg)
-        export(curve, path)
-        with open(str(tmp_path / "curve.json")) as fh:
-            derivation = json.load(fh)["seeds"]["derivation"]
-        assert "train: sample(s(master, n, trial, 1), n)" in derivation
-        assert "holdout: sample(s(s(master, n, trial, 3), 3), holdout_n)" in derivation
-        assert "random dict: default_rng([master, n, trial, 2])" in derivation
-        master, n, trial = cfg.dist.seed, 32, 1
-        row = next(r for r in curve.rows if (r.n, r.trial) == (n, trial))
-        D = random_dictionary(cfg.dist.m, cfg.d, np.random.default_rng([master, n, trial, 2]))
+        sphere = tiny_config().dist
+        planted = DistributionSpec(kind="planted-sparse", m=4, dict_d=6, sparsity_k=3, coeff_scale=1.5, seed=12)
+        atoms = planted_dictionary(planted).atoms
+        d, k = planted.dict_d, planted.sparsity_k
 
-        def coded_mean(seed, count):
-            X = sample(dataclasses.replace(cfg.dist, seed=seed), count)
-            _A, obj, _it, _conv = experiments._solve_columns(X.signals, D, cfg.pen, cfg.learn.coding)
-            return float(np.mean(obj))
+        def sphere_signals(seed, count):
+            return sample(dataclasses.replace(sphere, seed=seed), count).signals
 
-        assert coded_mean(s(master, n, trial, 1), n) == row.train_F
-        assert coded_mean(s(s(master, n, trial, 3), 3), cfg.holdout_n) == row.holdout_F
+        def planted_signals(seed, count):
+            rng = np.random.default_rng([seed, count])
+            draws = [rng.integers(0, j + 1, size=count) for j in range(d - k, d)]
+            coeffs = planted.coeff_scale * rng.standard_normal((k, count))
+            X = np.zeros((planted.m, count))
+            for col in range(count):
+                chosen = []
+                for i, j in enumerate(range(d - k, d)):
+                    t = int(draws[i][col])
+                    chosen.append(j if t in chosen else t)
+                for i, atom in enumerate(chosen):
+                    X[:, col] += atoms[:, atom] * coeffs[i, col]
+            return X / np.maximum(1.0, np.linalg.norm(X, axis=0))
+
+        for dist, signals in ((sphere, sphere_signals), (planted, planted_signals)):
+            cfg = tiny_config(dist=dist)
+            path = str(tmp_path / f"{dist.kind}.csv")
+            curve = gap_sweep(cfg)
+            export(curve, path)
+            with open(str(tmp_path / f"{dist.kind}.json")) as fh:
+                derivation = json.load(fh)["seeds"]["derivation"]
+            assert "train: sample(s(master, n, trial, 1), n)" in derivation
+            assert "holdout: sample(s(s(master, n, trial, 3), 3), holdout_n)" in derivation
+            assert "random dict: default_rng([master, n, trial, 2])" in derivation
+            assert (
+                "planted signals, in draw order: for i, j in enumerate(range(d - k, d)): "
+                "t = integers(0, j + 1, size=count), support[i] = where(t in support[:i], j, t); "
+                "coeffs = coeff_scale * standard_normal((k, count)); "
+                "x = sum_i D[:, support[i]] * coeffs[i], divided by max(1, ||x||)"
+            ) in derivation
+            master, n, trial = dist.seed, 32, 1
+            row = next(r for r in curve.rows if (r.n, r.trial) == (n, trial))
+            D = random_dictionary(dist.m, cfg.d, np.random.default_rng([master, n, trial, 2]))
+
+            def coded_mean(X):
+                _A, obj, _it, _conv = experiments._solve_columns(X, D, cfg.pen, cfg.learn.coding)
+                return float(np.mean(obj))
+
+            assert coded_mean(signals(s(master, n, trial, 1), n)) == row.train_F
+            assert coded_mean(signals(s(s(master, n, trial, 3), 3), cfg.holdout_n)) == row.holdout_F
 
     def test_degenerate_distribution_gap_near_zero(self):
         cfg = tiny_config(
@@ -260,7 +317,8 @@ class TestExport:
         export(curve, path)
         with open(str(tmp_path / "curve.json")) as fh:
             sidecar = json.load(fh)
-        assert set(sidecar.keys()) == {"fit", "config", "seeds", "rows_extra"}
+        assert set(sidecar.keys()) == {"lpdict_version", "fit", "config", "seeds", "rows_extra"}
+        assert sidecar["lpdict_version"] == lpdict.__version__
         assert set(sidecar["fit"].keys()) == {
             "slope",
             "intercept",

@@ -567,6 +567,24 @@ class TestDescent:
             last = obj
 
 
+class TestWarmStart:
+    # a warm-started convex solve runs the warm start alone: monotone FISTA
+    # never ends above F(warm), so no column may end above it
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (1.0, 2.0), (1.5, 1.5), (2.0, 1.0), (2.0, 2.0)])
+    def test_convex_warm_start_runs_alone(self, p, q):
+        rng = np.random.default_rng([37, int(10 * p), int(10 * q)])
+        D = random_dictionary(rng, 8, 12)
+        X = np.column_stack([random_ball_signal(rng, 8) for _ in range(80)])
+        G, h = D.atoms.T @ D.atoms, D.atoms.T @ X
+        base = 0.5 * np.einsum("ij,ij->j", X, X)
+        warm = 0.1 * rng.standard_normal((12, 80))
+        pen, cfg = Penalty(p, q, 10.0), SolverConfig()
+        F_warm = sparse_coding._fit_cols(warm, G @ warm, h, base) + sparse_coding._penalty_cols(warm, pen)
+        _A, obj, iters, _conv = _solve_columns(X, D, pen, cfg, warm=warm)
+        assert np.all(obj <= F_warm)
+        assert np.array_equal(iters, _prox_grad_descent(G, h, base, pen, cfg, warm)[2])
+
+
 class TestBatchObjective:
     def test_all_zero_signals(self):
         D = Dictionary(np.eye(3))
