@@ -28,10 +28,13 @@ objective and the dual value at its scaled residual is at most
 exact finish at a few fixed iterations (`_FINISH_AT`): it solves each live
 column's reduced KKT system on the iterate's sign pattern, the manifold that
 proximal gradient identifies (Bareilles, Iutzeler and Malick 2022; the
-working sets of Massias, Gramfort and Salmon 2018), and retires the column
-with that point when the point keeps the signs, passes the same gap test and
-does not raise F; a column whose plain step no longer descends in floating
-point also stops. Nonconvex pairs (p < 1 or q < 1) run the loop without
+working sets of Massias, Gramfort and Salmon 2018), as one small system on
+the column's support, and retires the column with that point when the point
+keeps the signs, passes the same gap test and does not raise F. A column
+that fails gets one active-set pivot, dropping the coordinates whose sign
+flipped or else adding the worst KKT violator, and one more solve under the
+same tests. A column whose plain step no longer descends in floating point
+also stops. Nonconvex pairs (p < 1 or q < 1) run the loop without
 momentum, stop on a small gain or a rise, and get deterministic
 multi-start; all starts of a call are solved together, as blocks of columns
 of one loop. Every path ends with an explicit comparison against a = 0, so a
@@ -70,7 +73,7 @@ __all__ = [
 ]
 
 _FINISH_AT = (10, 20, 30, 50, 80, 130, 200)  # iterations at which p = 1, q in {1, 2} try the exact finish
-_FINISH_CHUNK = 256  # columns per stacked (chunk, d, d) solve of the finish
+_FINISH_CHUNK = 256  # columns per chunk of the finish, which bounds its stacked solves
 _BISECT_ITERS = 60
 _SEARCH_STEPS = 60  # multiplier search: Newton steps, each falling back to bisection
 _SEARCH_TOL = 1e-12  # on log(mu*S^(1-r)/(t*r)), i.e. on the relative error of mu
@@ -395,58 +398,139 @@ def _duality_gap(A, v, fit, pen_a, pen: Penalty) -> np.ndarray:
     return pen_a - c * av + (1.0 - c) ** 2 * fit
 
 
+def _pattern_solve(G, h, s, pen: Penalty) -> np.ndarray:
+    """Minimizer of the p = 1, q in {1, 2} objective on each column's sign
+    pattern ``s`` (entries in {-1, 0, 1}), as a dense array shaped like s.
+
+    On the support S and signs s_S of a column the objective is a quadratic
+    in ``a_S``, minimized by ``G_SS a_S = h_S - s_S/lam`` for q = 1 and
+    ``(G_SS + 2/lam^2 * s_S s_S') a_S = h_S`` for q = 2. Columns with the same
+    ``|S|`` are solved as one stack of ``|S| x |S|`` systems; each system is
+    factored on its own, so a column's solution does not depend on the other
+    columns. A column whose ``G_SS`` is exactly singular gets NaN on S.
+    """
+    on = s != 0.0
+    size = np.count_nonzero(on, axis=0)
+    order = np.argsort(size, kind="stable")
+    count = np.bincount(size)
+    # every support, ascending, column after column in order of size, so
+    # that the columns of one size hold one contiguous run
+    rows = np.nonzero(on[:, order].T)[1]
+    cols = np.repeat(order, size[order])
+    sS = s[rows, cols]
+    rhs = h[rows, cols] - sS / pen.lam if pen.q == 1.0 else h[rows, cols]
+    x = np.empty(rows.size)
+    lo = 0
+    for k in np.flatnonzero(count[1:]) + 1:  # (np.unique would import numpy.ma)
+        hi = lo + count[k] * k
+        S = rows[lo:hi].reshape(-1, k)
+        M = G[S[:, :, None], S[:, None, :]]
+        if pen.q == 2.0:
+            sk = sS[lo:hi].reshape(-1, k)
+            M += 2.0 / pen.lam**2 * sk[:, :, None] * sk[:, None, :]
+        b = rhs[lo:hi].reshape(-1, k, 1)
+        try:
+            x[lo:hi] = np.linalg.solve(M, b).ravel()
+        except np.linalg.LinAlgError:  # some G_SS is exactly singular: solve one by one
+            for i in range(M.shape[0]):
+                try:
+                    x[lo + i * k : lo + (i + 1) * k] = np.linalg.solve(M[i], b[i]).ravel()
+                except np.linalg.LinAlgError:
+                    x[lo + i * k : lo + (i + 1) * k] = np.nan
+        lo = hi
+    a = np.zeros(s.shape)
+    a[rows, cols] = x
+    return a
+
+
+def _finish_try(G, h, base, A, GA, fA, pA, J, s, pen: Penalty, obj_tol: float):
+    """`_pattern_solve` for the columns J on the patterns s. A solution
+    passes when it keeps the signs s, its duality gap is at most
+    ``obj_tol * max(1, F)``, and its F is at most the iterate's; passing
+    columns are overwritten in A, GA, fA and pA. Returns the pass mask, the
+    solutions and ``v = h - G a`` at them."""
+    hJ = h[:, J]
+    a = _pattern_solve(G, hJ, s, pen)
+    with np.errstate(over="ignore", invalid="ignore"):  # a near-singular G_SS fails the tests below
+        Ga = np.einsum("ij,jk->ik", G, a)  # per column in a fixed order, unlike G @ a on one column
+        f = _fit_cols(a, Ga, hJ, base[J])
+        pa = _penalty_cols(a, pen)
+        F = f + pa
+        v = hJ - Ga
+        ok = np.all(np.sign(a) == s, axis=0) & (F <= fA[J] + pA[J])
+        ok &= _duality_gap(a, v, f, pa, pen) <= obj_tol * np.maximum(1.0, F)
+    K = J[ok]
+    A[:, K], GA[:, K], fA[K], pA[K] = a[:, ok], Ga[:, ok], f[ok], pa[ok]
+    return ok, a, v
+
+
+def _pivot(s, a, v, pen: Penalty):
+    """One active-set move per column from the pattern s whose solution a
+    failed, with ``v = h - G a``: drop the coordinates whose sign flipped
+    (or became 0 or NaN); if none did, add the off-support coordinate with
+    the largest ``|v_i|`` above the subgradient weight ``w`` (``1/lam`` for
+    q = 1, ``2*||a||_1/lam^2`` for q = 2), signed like ``v_i``. Returns the
+    mask of the columns that moved and their new patterns."""
+    flipped = (s != 0.0) & (np.sign(a) != s)
+    moved = flipped.any(axis=0)
+    s2 = np.where(flipped, 0.0, s)
+    off = np.where(s == 0.0, np.abs(v), 0.0)
+    w = 1.0 / pen.lam if pen.q == 1.0 else 2.0 * np.sum(np.abs(a), axis=0) / pen.lam**2
+    i = np.argmax(off, axis=0)
+    add = np.flatnonzero(~moved & (off[i, np.arange(s.shape[1])] > w))
+    s2[i[add], add] = np.sign(v[i[add], add])
+    moved[add] = True
+    return moved, s2[:, moved]
+
+
+def _size_chunks(size, rank: int) -> list:
+    """Positions of the entries with ``0 < size <= rank``, ordered by size,
+    so that a chunk holds few sizes, and cut into chunks of `_FINISH_CHUNK`.
+    A last chunk of one column joins the one before it: numpy sums a lone
+    column in another order than a column of a wider array."""
+    pos = np.flatnonzero((size > 0) & (size <= rank))
+    pos = pos[np.argsort(size[pos], kind="stable")]
+    starts = list(range(0, pos.size, _FINISH_CHUNK))
+    if len(starts) > 1 and starts[-1] == pos.size - 1:
+        starts.pop()
+    return [pos[i:j] for i, j in zip(starts, starts[1:] + [pos.size])]
+
+
 def _sign_pattern_finish(G, rank: int, h, base, A, GA, fA, pA, cols, pen: Penalty, obj_tol: float):
     """Exact finish for p = 1, q in {1, 2} on the columns `cols` of A.
 
-    On the support S and signs s of a column's iterate the objective is a
-    quadratic in ``a_S``, minimized by ``G_SS a_S = h_S - s/lam`` for q = 1
-    and ``(G_SS + 2/lam^2 * s s') a_S = h_S`` for q = 2. Columns with
-    ``|S| > rank(G)``, whose system is singular, are skipped. A solution is
-    accepted when it keeps the signs s, its duality gap is at most
-    ``obj_tol * max(1, F)``, and its F is at most the iterate's. Accepted
-    columns are overwritten in A, GA, fA and pA, and returned.
+    Each column's iterate gives a sign pattern, and `_pattern_solve` finds
+    the minimizer on it. Supports larger than rank(G), whose systems are
+    singular, are skipped. A solution is accepted when it keeps the signs,
+    its duality gap is at most ``obj_tol * max(1, F)``, and its F is at most
+    the iterate's (`_finish_try`). A column that fails gets one active-set
+    pivot (`_pivot`) and, if its new support is nonempty and at most
+    rank(G), one more solve under the same tests. Accepted columns are
+    overwritten in A, GA, fA and pA, and returned.
 
-    Columns go in chunks of `_FINISH_CHUNK`, which bounds the stacked
-    (chunk, d, d) systems; each system is factored on its own, so a
-    column's solution does not depend on its chunk.
+    Each pass goes in the chunks of `_size_chunks`, which bound the stacked
+    systems; a column's result does not depend on its chunk.
     """
-    d = G.shape[0]
-    size = np.count_nonzero(A, axis=0)[cols]
-    cols = cols[(size > 0) & (size <= rank)]
-    diag = np.arange(d)
-    accepted = []
-    for lo in range(0, cols.size, _FINISH_CHUNK):
-        J = cols[lo : lo + _FINISH_CHUNK]
-        s = np.sign(A[:, J])
-        on = (s != 0.0).T
-        # off the support the system is the identity with a zero right side
-        M = G * (on[:, :, None] & on[:, None, :])
-        if pen.q == 2.0:
-            M += 2.0 / pen.lam**2 * s.T[:, :, None] * s.T[:, None, :]
-        M[:, diag, diag] += ~on
-        hJ = h[:, J]
-        rhs = (hJ - s / pen.lam if pen.q == 1.0 else hJ) * on.T
-        try:
-            a = np.linalg.solve(M, rhs.T[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # some G_SS is exactly singular: solve one by one
-            a = np.full((J.size, d), np.nan)
-            for i in range(J.size):
-                try:
-                    a[i] = np.linalg.solve(M[i], rhs[:, i])
-                except np.linalg.LinAlgError:
-                    pass
-        a = np.ascontiguousarray(a.T)
-        with np.errstate(over="ignore", invalid="ignore"):  # a near-singular G_SS fails the tests below
-            Ga = G @ a
-            f = _fit_cols(a, Ga, hJ, base[J])
-            pa = _penalty_cols(a, pen)
-            F = f + pa
-            ok = np.all(np.sign(a) == s, axis=0) & (F <= fA[J] + pA[J])
-            ok &= _duality_gap(a, hJ - Ga, f, pa, pen) <= obj_tol * np.maximum(1.0, F)
-        J = J[ok]
-        A[:, J], GA[:, J], fA[J], pA[J] = a[:, ok], Ga[:, ok], f[ok], pa[ok]
-        accepted.append(J)
-    return np.concatenate(accepted) if accepted else cols
+    accepted = np.zeros(cols.size, dtype=bool)
+    # the second pass's positions in cols and patterns go into arrays
+    # allocated once, so that no small array outlives its chunk
+    redo = np.empty(cols.size, dtype=int)
+    patterns = np.empty((A.shape[0], cols.size), dtype=np.int8)
+    m = 0
+    for P in _size_chunks(np.count_nonzero(A, axis=0)[cols], rank):
+        s = np.sign(A[:, cols[P]])
+        ok, a, v = _finish_try(G, h, base, A, GA, fA, pA, cols[P], s, pen, obj_tol)
+        accepted[P] = ok
+        if not ok.all():
+            moved, s2 = _pivot(s[:, ~ok], a[:, ~ok], v[:, ~ok], pen)
+            k = s2.shape[1]
+            redo[m : m + k], patterns[:, m : m + k] = P[~ok][moved], s2
+            m += k
+    redo, patterns = redo[:m], patterns[:, :m]
+    for P in _size_chunks(np.count_nonzero(patterns, axis=0), rank):
+        R = redo[P]
+        accepted[R] = _finish_try(G, h, base, A, GA, fA, pA, cols[R], patterns[:, P], pen, obj_tol)[0]
+    return cols[accepted]
 
 
 def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
@@ -465,9 +549,10 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
     Convex routes (p, q >= 1) retire a column once its duality gap is at
     most ``obj_tol * max(1, F)``, or on a rise after a plain step. For p = 1
     with q in {1, 2}, at each iteration in `_FINISH_AT` the columns still
-    live try `_sign_pattern_finish`, one exact solve on their sign pattern;
-    a column whose solution it certifies retires with that solution, and
-    every other column carries on unchanged. Nonconvex routes (p < 1 or
+    live try `_sign_pattern_finish`, one exact solve on their sign pattern
+    and, where that fails, one more after an active-set pivot; a column
+    whose solution it certifies retires with that solution, and every other
+    column carries on unchanged. Nonconvex routes (p < 1 or
     q < 1) run without momentum and retire on a rise or on a gain of at most
     ``obj_tol * max(1, |F|)``.
 
@@ -555,6 +640,7 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
         else:
             Y, GY = Z, GZ
         A, GA, fA, pA = Z, GZ, fZ, pZ
+        del Z, GZ
         live = int(np.count_nonzero(alive))
         if live == 0:
             break
@@ -562,9 +648,13 @@ def _prox_grad_descent(G, h, base, pen: Penalty, cfg: SolverConfig, A0):
             if A_out is None:
                 A_out = np.empty((d, n))
             A_out[:, idx[~alive]] = A[:, ~alive]
+            # one array at a time, so that each full-width array is freed
+            # before the next is copied
             same = Y is A
-            A, GA = A[:, alive], GA[:, alive]
-            Y, GY = (A, GA) if same else (Y[:, alive], GY[:, alive])
+            A = A[:, alive]
+            GA = GA[:, alive]
+            Y = A if same else Y[:, alive]
+            GY = GA if same else GY[:, alive]
             hw, bw = hw[:, alive], bw[alive]
             sw, tw, fA, pA = sw[alive], tw[alive], fA[alive], pA[alive]
             idx = idx[alive]
@@ -669,7 +759,7 @@ def sparse_code(x, D: Dictionary, pen: Penalty, cfg: SolverConfig = SolverConfig
     it stops short of that certificate only where a plain step no longer
     descends in floating point. For p = 1 with q in {1, 2} the certified
     point is usually the exact minimizer on the sign pattern the loop
-    identified.
+    identified, or on that pattern after one active-set pivot.
     For nonconvex pairs the result is the best of `cfg.restarts`
     deterministic starts, each run to a stationary point.
     """

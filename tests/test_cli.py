@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lpdict
 from lpdict.cli import run
 
 
@@ -342,3 +347,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 6
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(lpdict.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = "bound --m 16 --d 32 --p 0.5 --q 1 --lambda 1 --n 1000000 --confidence 0".split()
+    done = subprocess.run([sys.executable, "-m", "lpdict", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert math.isfinite(json.loads(done.stdout)["eta"])

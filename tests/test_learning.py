@@ -3,8 +3,10 @@ import pytest
 
 from lpdict.core import CoeffMatrix, Dictionary, Penalty, SignalSet
 from lpdict.learning import (
+    _DICT_GRAD_TOL,
     LearnConfig,
     LearnTrace,
+    _fit_value,
     _init_dictionary,
     _revive_dead_atoms,
     dict_update,
@@ -123,6 +125,49 @@ class TestDictUpdate:
         D0 = Dictionary(np.eye(3))
         with pytest.raises(ValueError):
             dict_update(np.zeros((3, 4)), np.zeros((2, 4)), D0)
+
+    @staticmethod
+    def _random_problems(seed, count=200):
+        """Random (X, A, D0) with sparse coefficients and some all-zero rows."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            m, d, n = (int(v) for v in rng.integers([2, 2, 5], [9, 13, 60]))
+            M = rng.standard_normal((m, d))
+            D0 = Dictionary(M / np.linalg.norm(M, axis=0))
+            X = unit_ball_signals(rng, m, n).signals
+            A = rng.standard_normal((d, n)) * (rng.uniform(size=(d, n)) < 0.4)
+            A[rng.uniform(size=d) < 0.2] = 0.0
+            yield X, A, D0
+
+    def test_random_inputs_keep_unit_atoms_and_never_raise_the_fit(self):
+        for X, A, D0 in self._random_problems(12):
+            D1 = dict_update(X, A, D0).atoms
+            assert np.all(np.abs(np.linalg.norm(D1, axis=0) - 1.0) <= 1e-12)
+            assert _fit_value(X, D1, A) <= _fit_value(X, D0.atoms, A)
+            # an unused atom is not moved; a new Dictionary renormalizes
+            # every atom it is given, which can change its last bit
+            unused = ~A.any(axis=1)
+            same = D0.atoms if D1 is D0.atoms else Dictionary(D0.atoms).atoms
+            assert np.array_equal(D1[:, unused], same[:, unused])
+
+    def test_tolerance_stop_meets_per_atom_optimality(self):
+        # at a stop on the gradient tolerance every used atom is, to within
+        # it, u/||u|| for u = B_j - D C_j + D_j C_jj, its exact update
+        stops = 0
+        for X, A, D0 in self._random_problems(13):
+            D = dict_update(X, A, D0).atoms
+            n = X.shape[1]
+            C, B = A @ A.T / n, X @ A.T / n
+            egrad = D @ C - B
+            if np.linalg.norm(egrad - D * np.sum(D * egrad, axis=0)) > _DICT_GRAD_TOL:
+                continue  # stopped on the sweep cap
+            stops += 1
+            for j in np.flatnonzero(A.any(axis=1)):
+                u = B[:, j] - D @ C[:, j] + D[:, j] * C[j, j]
+                norm = np.linalg.norm(u)
+                assert D[:, j] @ u > 0.0
+                assert np.linalg.norm(u / norm - D[:, j]) <= 2.0 * _DICT_GRAD_TOL / norm + 1e-15
+        assert stops > 100
 
 
 class TestLearn:

@@ -17,6 +17,7 @@ from lpdict.sparse_coding import (
     _duality_gap,
     _line_envelope,
     _envelope_eval,
+    _pattern_solve,
     _prox_grad_descent,
     _prox_power_vector,
     _sign_pattern_finish,
@@ -225,7 +226,7 @@ class TestSparseCode:
             tol = max(1e-6, 2 * grid_resolution_error(x, D, pen, grid_points=1501))
             assert res.objective <= oracle.objective + tol
 
-    def test_smoothed_route_matches_oracle(self):
+    def test_multiplier_and_norm_proxes_match_oracle(self):
         # q != p: the multiplier-search prox, and the radial prox for p = 2
         rng = np.random.default_rng(8)
         for pq in [(1.0, 2.0), (0.5, 1.0), (1.0, 0.5), (1.5, 1.0), (1.5, 2.0), (2.0, 0.5), (0.5, 2.0)]:
@@ -240,8 +241,9 @@ class TestSparseCode:
                 assert res.objective <= oracle.objective + tol
 
     def test_half_one_batch_converges(self):
-        # two (0.5, 1) batches, m=8, d=12, lam=10, with 2 of their 30 columns
-        # hard enough to leave a per-column smoothed descent on its budget
+        # two (0.5, 1) batches, m=8, d=12, lam=10; 2 of their 30 columns once
+        # ran out the iteration budget, and the multiplier-search prox must
+        # converge on every column
         rng = np.random.default_rng([20140320, 1, 6])
         for _ in range(2):
             D = random_dictionary(rng, 8, 12)
@@ -524,6 +526,62 @@ class TestSignPatternFinish:
         assert acc[1:].any()
         rest, rest_coeffs = finish(np.arange(1, 40))
         assert np.array_equal(rest, acc[1:]) and np.array_equal(rest_coeffs, coeffs[:, 1:])
+
+    @staticmethod
+    def _early_iterates(seed, n, q, iters):
+        """A (1, q) batch with its iterates after `iters` loop iterations, and
+        the Gram data the finish takes."""
+        D, X = TestConvexOptimum._batch(seed, n=n)
+        pen = Penalty(1.0, q, 10.0)
+        G, H = D.atoms.T @ D.atoms, D.atoms.T @ X
+        base = 0.5 * np.sum(X * X, axis=0)
+        A, _obj, _it, _conv = _prox_grad_descent(G, H, base, pen, SolverConfig(max_iters=iters), np.zeros((12, n)))
+        GA = G @ A
+        fA, pA = sparse_coding._fit_cols(A, GA, H, base), sparse_coding._penalty_cols(A, pen)
+        return pen, G, H, base, A, GA, fA, pA
+
+    @pytest.mark.parametrize("q, iters", [(1.0, 9), (2.0, 19)])
+    def test_pivot_accepts_columns_whose_first_solve_failed(self, q, iters):
+        pen, G, H, base, A, GA, fA, pA = self._early_iterates(31, 200, q, iters)
+        s = np.sign(A)
+        first = _pattern_solve(G, H, s, pen)
+        flips = (s != 0.0) & (np.sign(first) != s)
+        acc = _sign_pattern_finish(G, 8, H, base, A, GA, fA, pA, np.arange(200), pen, 1e-8)
+        # a column whose first solve flipped a sign is accepted on its
+        # pattern without the flipped coordinates
+        pivoted = acc[flips[:, acc].any(axis=0)]
+        assert pivoted.size > 0
+        assert np.array_equal(A[:, pivoted] != 0.0, (s != 0.0)[:, pivoted] & ~flips[:, pivoted])
+        # and, for q = 1, a column whose first solve kept its signs may be
+        # accepted with one more coordinate
+        grown = acc[np.count_nonzero(A[:, acc], axis=0) > np.count_nonzero(s[:, acc], axis=0)]
+        assert grown.size > 0 or q == 2.0
+        assert np.all(np.count_nonzero(A[:, grown], axis=0) == np.count_nonzero(s[:, grown], axis=0) + 1)
+        # both meet the KKT conditions of the column's problem
+        K = np.concatenate([pivoted, grown])
+        a = A[:, K]
+        V = H[:, K] - G @ a
+        on = a != 0.0
+        w = np.full(K.size, 1.0 / pen.lam) if q == 1.0 else 2.0 * np.sum(np.abs(a), axis=0) / pen.lam**2
+        assert np.all(np.abs(V - w * np.sign(a))[on] <= 1e-14)
+        assert np.all((np.abs(V) / w)[~on] <= 1.0)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_results_do_not_depend_on_the_chunking(self, monkeypatch, q):
+        state = self._early_iterates(34, 600, q, 19)
+        pen, G, H, base = state[:4]
+        outs = []
+        for chunk in (_FINISH_CHUNK, 64, 7, 2):
+            monkeypatch.setattr(sparse_coding, "_FINISH_CHUNK", chunk)
+            arrays = [x.copy() for x in state[4:]]
+            acc = _sign_pattern_finish(G, 12, H, base, *arrays, np.arange(600), pen, 1e-8)
+            outs.append((np.sort(acc), arrays))
+        acc0, arrays0 = outs[0]
+        assert 0 < acc0.size < 600
+        for acc, arrays in outs[1:]:
+            assert np.array_equal(acc, acc0)
+            for mine, first in zip(arrays, arrays0):
+                assert np.array_equal(mine, first)
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_single_one_two_calls_are_certified(self, seed):
